@@ -162,18 +162,30 @@ class TopKRouter:
 
         Bit-identical to ``route(x).expert_counts()`` — counts depend only
         on *which* experts win, so the softmax, combine weights and
-        within-top-k ordering are skipped (the argpartition that fixes the
-        winning set is the same call :func:`top_k_indices` makes).  Falls
+        within-top-k ordering are skipped.  The winners of a row are the
+        logits at or above its k-th largest value (one ``np.sort``); that
+        set is exactly the top-k wherever it holds exactly ``k`` entries.
+        Rows where it does not — an exact tie at the k-th boundary, or a
+        NaN logit — are recounted with the argpartition
+        :func:`top_k_indices` makes, so tie-breaking is unchanged.  Falls
         back to the full path when observers are subscribed so telemetry
         still sees complete :class:`RoutingResult` objects.
         """
         if self._observers:
             return self.route(x).expert_counts()
         logits = self.logits(x)
-        part = np.argpartition(-logits, self.top_k - 1, axis=-1)
-        return np.bincount(
-            part[..., : self.top_k].ravel(), minlength=self.num_experts
-        )
+        k, e = self.top_k, self.num_experts
+        ordered = np.sort(logits, axis=-1)
+        win = logits >= ordered[:, e - k : e - k + 1]
+        counts = win.sum(axis=0)
+        # NaN sorts last, so a row holds one iff its last sorted entry does
+        has_nan = np.isnan(ordered[:, -1])
+        if np.count_nonzero(win) != win.shape[0] * k or has_nan.any():
+            redo = has_nan | (np.count_nonzero(win, axis=1) != k)
+            counts -= win[redo].sum(axis=0)
+            part = np.argpartition(-logits[redo], k - 1, axis=-1)
+            counts += np.bincount(part[:, :k].ravel(), minlength=e)
+        return counts
 
     def z_loss(self, x: np.ndarray) -> float:
         """Router z-loss: mean squared logsumexp of the logits."""

@@ -95,6 +95,8 @@ class ExpertActivationTracker:
 
     def record_counts(self, layer_idx: int, counts: np.ndarray) -> None:
         """Record precomputed per-expert counts (for streaming use)."""
+        if not (0 <= layer_idx < self.num_layers):
+            raise IndexError(f"layer_idx {layer_idx} out of range")
         counts = np.asarray(counts)
         if counts.shape != (self.num_experts,):
             raise ValueError(f"counts must have shape ({self.num_experts},)")

@@ -45,6 +45,9 @@ class RoutingTelemetry:
         self.tracker = ExpertActivationTracker(num_layers, num_experts)
         self.window = window
         self._recent: deque[np.ndarray] = deque(maxlen=window)
+        # running int64 sum of ``_recent`` (exact: add on append, subtract
+        # on eviction), so the rolling view costs O(num_experts) per batch
+        self._window_sum = np.zeros(num_experts, dtype=np.int64)
         self.imbalance_series: list[float] = []
         """Rolling imbalance after each recorded batch (telemetry over time)."""
 
@@ -68,7 +71,10 @@ class RoutingTelemetry:
         """Ingest precomputed per-expert counts for ``layer_idx``."""
         counts = np.asarray(counts, dtype=np.int64)
         self.tracker.record_counts(layer_idx, counts)
+        if len(self._recent) == self.window:
+            self._window_sum -= self._recent[0]
         self._recent.append(counts)
+        self._window_sum += counts
         self.imbalance_series.append(self.rolling_imbalance())
 
     def subscribe_router(self, router: TopKRouter,
@@ -97,7 +103,7 @@ class RoutingTelemetry:
         perfectly balanced; 0.0 before anything was recorded)."""
         if not self._recent:
             return 0.0
-        window_counts = np.sum(self._recent, axis=0)
+        window_counts = self._window_sum
         total = window_counts.sum()
         if total == 0:
             return 0.0

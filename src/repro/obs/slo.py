@@ -21,6 +21,7 @@ flight-recorder property tests assert.
 
 from __future__ import annotations
 
+import bisect
 import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
@@ -206,6 +207,43 @@ class ErrorBudget:
         }
 
 
+class _WindowIndex:
+    """Sub-linear trailing-window counts over one append-only sample list.
+
+    ``counts(cutoff)`` equals scanning the samples newest-first and
+    stopping at the first one with ``t < cutoff`` — also when terminal
+    times arrive out of order, as fleet replicas report them.  That
+    sample is the latest one below the cutoff, and it is always a strict
+    suffix minimum (older than everything after it), so a stack of suffix
+    minima — ascending in both index and time — is bisected on the
+    cutoff; prefix sums of the bad flags give the bad count.  The index
+    catches up with samples appended since the last query, so it works
+    over the tracker's plain sample list.
+    """
+
+    def __init__(self, samples: list[tuple[float, bool]]) -> None:
+        self.samples = samples
+        self._min_t: list[float] = []
+        self._min_i: list[int] = []
+        self._bad_prefix = [0]
+
+    def counts(self, cutoff: float) -> tuple[int, int]:
+        samples, min_t, min_i = self.samples, self._min_t, self._min_i
+        bad_prefix = self._bad_prefix
+        for i in range(len(bad_prefix) - 1, len(samples)):
+            t, is_bad = samples[i]
+            while min_t and min_t[-1] >= t:
+                min_t.pop()
+                min_i.pop()
+            min_t.append(t)
+            min_i.append(i)
+            bad_prefix.append(bad_prefix[-1] + is_bad)
+        n = len(samples)
+        below = bisect.bisect_left(min_t, cutoff)
+        start = min_i[below - 1] + 1 if below else 0
+        return n - start, bad_prefix[n] - bad_prefix[start]
+
+
 class SloTracker:
     """Scores terminal requests against each SLO on the simulated clock.
 
@@ -228,6 +266,9 @@ class SloTracker:
         self._samples: dict[str, list[tuple[float, bool]]] = {
             s.name: [] for s in slos}
         self._bad: dict[str, int] = {s.name: 0 for s in slos}
+        self._windows: dict[str, _WindowIndex] = {
+            name: _WindowIndex(samples)
+            for name, samples in self._samples.items()}
 
     def align_buckets(self, metrics: MetricsRegistry) -> None:
         """Pin each latency SLO threshold onto an exact histogram bucket
@@ -273,16 +314,11 @@ class SloTracker:
 
     def window_counts(self, name: str, now: float,
                       window_s: float) -> tuple[int, int]:
-        """(total, bad) samples with terminal time in ``(now - window_s,
-        now]``."""
-        cutoff = now - window_s
-        total = bad = 0
-        for t, is_bad in reversed(self._samples[name]):
-            if t < cutoff:
-                break
-            total += 1
-            bad += is_bad
-        return total, bad
+        """(total, bad) over the newest samples back to, not including,
+        the latest one older than ``now - window_s`` — all samples with
+        terminal time in ``[now - window_s, now]`` when times are fed in
+        order.  O(log n) per query (see :class:`_WindowIndex`)."""
+        return self._windows[name].counts(now - window_s)
 
     def burn_rate(self, name: str, now: float, window_s: float) -> float:
         """Error-budget burn rate over the trailing window: the bad

@@ -307,16 +307,24 @@ class StepModel:
         hw, plan, quant = self.hardware, self.plan, self.quant
         bd = PhaseBreakdown(phase=phase)
 
+        # every layer of one kind costs the same: price each kind once
+        # (lazily), then keep the per-layer repeated addition (n adds != mul)
+        attn_layer = self._attention_time(m, batch, kv_len, attended_len)
+        moe_layer = dense_layer = None
         moe_time = moe_comm = dense_time = attn_time = router_time = 0.0
         for _, is_moe in self.model.iter_layers():
-            attn_time += self._attention_time(m, batch, kv_len, attended_len)
+            attn_time += attn_layer
             if is_moe:
-                r, t, c = self._moe_ffn_time(m)
+                if moe_layer is None:
+                    moe_layer = self._moe_ffn_time(m)
+                r, t, c = moe_layer
                 router_time += r
                 moe_time += t
                 moe_comm += c
             else:
-                dense_time += self._dense_ffn_time(m)
+                if dense_layer is None:
+                    dense_layer = self._dense_ffn_time(m)
+                dense_time += dense_layer
         bd.add("attention", attn_time)
         bd.add("moe_ffn", moe_time)
         bd.add("dense_ffn", dense_time)

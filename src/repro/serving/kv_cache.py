@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.instrument import Instrumentation
+    from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 
 __all__ = ["BlockTable", "PagedKVCache", "DEFAULT_BLOCK_SIZE"]
 
@@ -31,6 +32,45 @@ class BlockTable:
 
     def slots(self, block_size: int) -> int:
         return len(self.blocks) * block_size
+
+
+class _KVMetricHandles:
+    """The KV metrics of one registry, each resolved on first use.
+
+    A handle is created exactly when a per-call registry lookup would
+    first create it, so the registry's contents and order — and with them
+    every export — are unchanged; later calls skip the label-key rebuild.
+    """
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self.registry = registry
+        self._ops: dict[str, Counter] = {}
+        self._blocks: dict[str, Counter] = {}
+        self._utilization: Gauge | None = None
+
+    def ops(self, op: str) -> Counter:
+        counter = self._ops.get(op)
+        if counter is None:
+            counter = self._ops[op] = self.registry.counter(
+                "kv_ops_total", "KV-cache block-manager operations",
+                labels={"op": op},
+            )
+        return counter
+
+    def blocks(self, op: str) -> Counter:
+        counter = self._blocks.get(op)
+        if counter is None:
+            counter = self._blocks[op] = self.registry.counter(
+                "kv_blocks_total", "blocks moved by KV operations",
+                labels={"op": op},
+            )
+        return counter
+
+    def utilization(self) -> Gauge:
+        if self._utilization is None:
+            self._utilization = self.registry.gauge(
+                "kv_utilization", "fraction of KV blocks in use")
+        return self._utilization
 
 
 class PagedKVCache:
@@ -55,6 +95,7 @@ class PagedKVCache:
         """Optional observability handle (set by the owning engine); when
         active, allocate/append/free emit spans at the simulated time the
         handle mirrors and maintain the KV metrics."""
+        self._metric_handles: _KVMetricHandles | None = None
 
     def _observe(self, op: str, seq_id: int, blocks: int) -> None:
         obs = self.obs
@@ -63,18 +104,13 @@ class PagedKVCache:
         tracer = obs.tracer
         tracer.begin(f"kv.{op}", obs.now, cat="kv", seq_id=seq_id, blocks=blocks)
         tracer.end(obs.now)
-        obs.metrics.counter(
-            "kv_ops_total", "KV-cache block-manager operations",
-            labels={"op": op},
-        ).inc()
+        handles = self._metric_handles
+        if handles is None or handles.registry is not obs.metrics:
+            handles = self._metric_handles = _KVMetricHandles(obs.metrics)
+        handles.ops(op).inc()
         if blocks:
-            obs.metrics.counter(
-                "kv_blocks_total", "blocks moved by KV operations",
-                labels={"op": op},
-            ).inc(blocks)
-        obs.metrics.gauge(
-            "kv_utilization", "fraction of KV blocks in use"
-        ).set(self.utilization)
+            handles.blocks(op).inc(blocks)
+        handles.utilization().set(self.utilization)
 
     # ------------------------------------------------------------------ #
     # queries

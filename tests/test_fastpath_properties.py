@@ -95,8 +95,8 @@ class TestRouteCountsExactness:
     @_settings
     def test_counts_equal_under_ties(self, seed):
         # lattice-valued weights and inputs force exact logit ties at the
-        # top-k boundary; both paths share the same argpartition call, so
-        # the winning set must match even then
+        # top-k boundary; route_counts recounts tied rows with the same
+        # argpartition call route makes, so the winning set must match
         rng = np.random.default_rng(seed)
         router = TopKRouter(8, 16, 4, rng=np.random.default_rng(seed))
         router.weight = rng.integers(-1, 2, size=(8, 16)).astype(np.float32)

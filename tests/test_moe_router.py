@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.moe.router import TopKRouter
 
@@ -117,3 +119,94 @@ class TestDropExperts:
         router = TopKRouter(16, 4, 3, rng=rng)
         pruned = router.drop_experts(np.array([0, 1]))
         assert pruned.top_k == 2
+
+
+def _reference_counts(router: TopKRouter, x: np.ndarray) -> np.ndarray:
+    """The argpartition + bincount count of the top-k winners."""
+    logits = router.logits(x)
+    part = np.argpartition(-logits, router.top_k - 1, axis=-1)
+    return np.bincount(part[:, : router.top_k].ravel(),
+                       minlength=router.num_experts)
+
+
+def _assert_counts_match(router: TopKRouter, x: np.ndarray) -> None:
+    got = router.route_counts(x)
+    want = _reference_counts(router, x)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+_settings = settings(max_examples=60, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestRouteCounts:
+    @given(st.integers(1, 64), st.data(), st.integers(0, 300),
+           st.integers(0, 2**31 - 1))
+    @_settings
+    def test_equals_argpartition_reference(self, num_experts, data, tokens,
+                                           seed):
+        top_k = data.draw(st.sampled_from(
+            sorted({1, num_experts, max(1, num_experts // 2)})))
+        rng = np.random.default_rng(seed)
+        router = TopKRouter(16, num_experts, top_k, expert_bias_std=0.5,
+                            rng=np.random.default_rng(seed))
+        x = rng.normal(size=(tokens, 16)).astype(np.float32)
+        _assert_counts_match(router, x)
+
+    @given(st.integers(2, 32), st.integers(1, 8), st.integers(0, 2**31 - 1))
+    @_settings
+    def test_exact_ties_at_the_boundary(self, num_experts, copies, seed):
+        # duplicated weight columns with equal bias give bit-equal logits
+        # in every row, so the k-th boundary is tied on most rows
+        rng = np.random.default_rng(seed)
+        top_k = int(rng.integers(1, num_experts + 1))
+        router = TopKRouter(8, num_experts, top_k,
+                            rng=np.random.default_rng(seed))
+        src = rng.integers(0, num_experts, size=copies)
+        dst = rng.integers(0, num_experts, size=copies)
+        router.weight[:, dst] = router.weight[:, src]
+        router.bias[dst] = router.bias[src]
+        x = rng.normal(size=(128, 8)).astype(np.float32)
+        _assert_counts_match(router, x)
+
+    def test_forced_ties_exercise_the_recount(self, rng):
+        router = TopKRouter(8, 8, 3, rng=rng)
+        router.weight[:, 1:] = router.weight[:, :1]
+        router.bias[:] = 0.0
+        x = rng.normal(size=(64, 8)).astype(np.float32)
+        logits = router.logits(x)
+        assert (logits == logits[:, :1]).all()  # every row fully tied
+        _assert_counts_match(router, x)
+        assert router.route_counts(x).sum() == 64 * 3
+
+    @pytest.mark.parametrize("top_k", [1, 4, 8])
+    def test_zero_rows(self, rng, top_k):
+        router = TopKRouter(8, 8, top_k, rng=rng)
+        counts = router.route_counts(np.zeros((0, 8), dtype=np.float32))
+        assert counts.shape == (8,) and not counts.any()
+        _assert_counts_match(router, np.zeros((0, 8), dtype=np.float32))
+
+    @pytest.mark.parametrize("top_k", [1, 3, 8])
+    def test_nan_rows_and_columns(self, rng, top_k):
+        router = TopKRouter(8, 8, top_k, rng=rng)
+        x = rng.normal(size=(32, 8)).astype(np.float32)
+        x[::5, 2] = np.nan  # whole rows of NaN logits
+        _assert_counts_match(router, x)
+        router.bias[[1, 6]] = np.nan  # NaN in two experts of every row
+        _assert_counts_match(router, x)
+
+    def test_nan_rows_cannot_hide_a_tied_row(self, rng):
+        # a fully tied row wins 8 - 2 = 6 extra slots; three all-NaN rows
+        # fall 3 x 2 short, so the mask's grand total still reads 4 x k
+        router = TopKRouter(8, 8, 2, rng=rng)
+        router.bias[:] = 0.5
+        x = np.zeros((4, 8), dtype=np.float32)
+        x[1:] = np.nan
+        _assert_counts_match(router, x)
+
+    def test_infinite_logits_tie(self, rng):
+        router = TopKRouter(8, 8, 2, rng=rng)
+        router.bias[[0, 3, 5]] = np.inf
+        x = rng.normal(size=(16, 8)).astype(np.float32)
+        _assert_counts_match(router, x)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.moe.router import TopKRouter
 from repro.moe.stats import ExpertActivationTracker, balance_metrics
+from repro.obs.routing import RoutingTelemetry
 
 
 class TestBalanceMetrics:
@@ -87,6 +88,21 @@ class TestTracker:
         router = TopKRouter(8, 6, 1, rng=rng)
         with pytest.raises(ValueError, match="experts"):
             tracker.record(0, router.route(rng.normal(0, 1, (3, 8)).astype(np.float32)))
+
+    def test_record_counts_rejects_negative_layer(self):
+        # numpy would index -1 as the last layer; it must not land there
+        tracker = ExpertActivationTracker(2, 4)
+        with pytest.raises(IndexError, match="out of range"):
+            tracker.record_counts(-1, np.ones(4))
+        assert tracker.heatmap().sum() == 0
+
+    def test_telemetry_rejects_negative_layer_before_windowing(self):
+        telem = RoutingTelemetry(2, 4, window=2)
+        with pytest.raises(IndexError, match="out of range"):
+            telem.record_counts(-1, np.ones(4))
+        assert telem.heatmap().sum() == 0
+        assert telem.imbalance_series == []
+        assert telem.rolling_imbalance() == 0.0
 
     def test_reset(self):
         tracker = ExpertActivationTracker(1, 2)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,38 @@ from repro.models.config import MoEConfig
 from repro.models.zoo import get_model
 from repro.moe.layer import MoELayer
 from repro.moe.router import TopKRouter
+from repro.obs.harness import reference_serving_run
+from repro.obs.instrument import Instrumentation
 from repro.obs.routing import EngineRoutingProbe, RoutingTelemetry
+from tests.test_moe_router import _reference_counts
 
 
 def make_router(num_experts=8, top_k=2, hidden=16, seed=0):
     return TopKRouter(hidden, num_experts, top_k,
                       rng=np.random.default_rng(seed))
+
+
+def _reference_imbalance(window_counts: np.ndarray) -> float:
+    total = window_counts.sum()
+    if total == 0:
+        return 0.0
+    return float(window_counts.max() * window_counts.size / total)
+
+
+class _DequeSumTelemetry(RoutingTelemetry):
+    """Rolling imbalance re-summed from the whole deque on every call."""
+
+    def rolling_imbalance(self) -> float:
+        if not self._recent:
+            return 0.0
+        return _reference_imbalance(np.sum(self._recent, axis=0))
+
+
+class _ArgpartitionRouter(TopKRouter):
+    """Counts the top-k winners with a full-row argpartition."""
+
+    def route_counts(self, x: np.ndarray) -> np.ndarray:
+        return _reference_counts(self, x)
 
 
 class TestRouterSubscription:
@@ -105,6 +133,22 @@ class TestTelemetry:
         assert summary["peak_activation"] == 4
         assert 0.0 <= summary["gini"] <= 1.0
 
+    def test_imbalance_series_equals_deque_sum(self):
+        window = 5
+        telem = RoutingTelemetry(2, 6, window=window)
+        recent: deque[np.ndarray] = deque(maxlen=window)
+        expected = []
+        rng = np.random.default_rng(3)
+        for i in range(4 * window + 3):
+            counts = rng.integers(0, 50, size=6)
+            if i % 7 == 0:
+                counts[:] = 0  # empty batches keep the window's total honest
+            telem.record_counts(i % 2, counts)
+            recent.append(counts.astype(np.int64))
+            expected.append(_reference_imbalance(np.sum(recent, axis=0)))
+        assert telem.imbalance_series == expected
+        assert telem.rolling_imbalance() == expected[-1]
+
     def test_invalid_window(self):
         with pytest.raises(ValueError):
             RoutingTelemetry(1, 4, window=0)
@@ -131,3 +175,34 @@ class TestEngineProbe:
         probe.on_tokens(0)
         assert probe.tokens_seen == 0
         assert probe.telemetry.heatmap().sum() == 0
+
+
+class TestProbeMatchesReference:
+    def test_live_run_equals_argpartition_and_deque_sum(self):
+        """A fixed engine run gives the same heatmap, imbalance series and
+        summary as argpartition counting with a re-summed window."""
+        model = get_model("OLMoE-1B-7B")
+
+        def run(reference: bool):
+            probe = EngineRoutingProbe(model, rng=np.random.default_rng(5),
+                                       max_tokens_per_step=256, window=16)
+            if reference:
+                routers = []
+                for router in probe.routers:
+                    ref = _ArgpartitionRouter.__new__(_ArgpartitionRouter)
+                    ref.__dict__.update(router.__dict__)
+                    routers.append(ref)
+                probe.routers = routers
+                probe.telemetry = _DequeSumTelemetry(
+                    len(routers), model.moe.num_experts, window=16)
+            reference_serving_run(
+                "OLMoE-1B-7B", num_requests=8, input_tokens=128,
+                output_tokens=32,
+                instrumentation=Instrumentation(routing=probe))
+            return probe.telemetry
+
+        fast, ref = run(reference=False), run(reference=True)
+        assert len(fast.imbalance_series) > fast.window
+        np.testing.assert_array_equal(fast.heatmap(), ref.heatmap())
+        assert fast.imbalance_series == ref.imbalance_series
+        assert fast.summary() == ref.summary()

@@ -6,6 +6,8 @@ import json
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.harness import reference_serving_run
 from repro.obs.instrument import Instrumentation
@@ -153,6 +155,36 @@ class TestSloTracker:
         total, bad = tracker.window_counts("availability", now=10.0,
                                            window_s=100.0)
         assert (total, bad) == (10, 5)
+
+    @given(st.lists(st.tuples(st.integers(0, 40), st.booleans(),
+                              st.booleans()), max_size=80),
+           st.integers(1, 25))
+    @settings(max_examples=200, deadline=None)
+    def test_window_counts_equal_reverse_scan(self, feed, window_s):
+        # out-of-order terminal times (fleet replicas report them that
+        # way), equal times, and queries interleaved with appends
+        def reverse_scan(samples, now, window_s):
+            total = bad = 0
+            for t, is_bad in reversed(samples):
+                if t < now - window_s:
+                    break
+                total += 1
+                bad += is_bad
+            return total, bad
+
+        tracker = SloTracker((SLO.parse("availability >= 99%"),))
+        samples = tracker._samples["availability"]
+        for t, is_bad, query in feed:
+            samples.append((t / 4.0, is_bad))
+            if query:
+                for now in (t / 4.0, t / 4.0 + 3.0, 12.0):
+                    assert tracker.window_counts(
+                        "availability", now, window_s / 4.0) == reverse_scan(
+                            samples, now, window_s / 4.0)
+        for now in (0.0, 5.0, 10.0, 20.0):
+            assert tracker.window_counts(
+                "availability", now, window_s / 4.0) == reverse_scan(
+                    samples, now, window_s / 4.0)
 
     def test_burn_rate_is_bad_fraction_over_budget_fraction(self):
         slo = SLO.parse("availability >= 99%")  # budget fraction 0.01

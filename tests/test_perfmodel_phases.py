@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from repro.experiments.ablations import _FlatEfficiencyStepModel
 from repro.hardware.gpus import H100_SXM
+from repro.hardware.interconnect import allreduce_time
 from repro.models.zoo import (
     DEEPSEEK_VL2_TINY,
     MIXTRAL_8X7B,
@@ -13,6 +17,7 @@ from repro.models.zoo import (
 )
 from repro.optim.quantization import FP8_CONFIG
 from repro.parallel.plan import ParallelPlan
+from repro.perfmodel import stepcache
 from repro.perfmodel.phases import StepModel
 
 
@@ -129,3 +134,93 @@ class TestOptimizationEffects:
 
     def test_vision_encode_zero_for_llm(self):
         assert StepModel(OLMOE_1B_7B, H100_SXM).vision_encode_time(4) == 0.0
+
+
+def _per_layer_sums(steps: StepModel, m: float, batch: float, kv_len: float,
+                    attended_len: float | None) -> dict[str, float]:
+    """The layer-stack sums priced layer by layer, one call per layer."""
+    sums = dict.fromkeys(("attention", "moe_ffn", "dense_ffn", "router",
+                          "moe_comm"), 0.0)
+    for _, is_moe in steps.model.iter_layers():
+        sums["attention"] += steps._attention_time(m, batch, kv_len,
+                                                   attended_len)
+        if is_moe:
+            r, t, c = steps._moe_ffn_time(m)
+            sums["router"] += r
+            sums["moe_ffn"] += t
+            sums["moe_comm"] += c
+        else:
+            sums["dense_ffn"] += steps._dense_ffn_time(m)
+    return sums
+
+
+class _CountingStepModel(StepModel):
+    """Counts every per-layer pricing call and every breakdown computed."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.calls: Counter[str] = Counter()
+
+    def _compute_step_breakdown(self, *args):
+        self.calls["breakdown"] += 1
+        return super()._compute_step_breakdown(*args)
+
+    def _attention_time(self, *args):
+        self.calls["attention"] += 1
+        return super()._attention_time(*args)
+
+    def _moe_ffn_time(self, *args):
+        self.calls["moe_ffn"] += 1
+        return super()._moe_ffn_time(*args)
+
+    def _dense_ffn_time(self, *args):
+        self.calls["dense_ffn"] += 1
+        return super()._dense_ffn_time(*args)
+
+
+_SHAPES = [(1, 1, 64, "decode", None), (16, 16, 512, "decode", None),
+           (512, 1, 512, "prefill", 256.5), (3, 3, 2048, "decode", 1024.0)]
+
+
+class TestLayerInvariantPricing:
+    @pytest.mark.parametrize("model", [OLMOE_1B_7B, DEEPSEEK_VL2_TINY,
+                                       QWEN3_0_6B])
+    def test_each_kind_priced_once_per_cache_miss(self, model):
+        stepcache.clear()
+        steps = _CountingStepModel(model, H100_SXM)
+        for _ in range(3):  # repeats are cache hits and price nothing
+            for m, batch, kv, phase, att in _SHAPES:
+                steps.step_breakdown(m, batch, kv, phase, attended_len=att)
+        misses = steps.calls["breakdown"]
+        assert misses == len(_SHAPES)
+        assert steps.calls["attention"] == misses
+        assert steps.calls["moe_ffn"] == (misses if model.num_moe_layers
+                                          else 0)
+        assert steps.calls["dense_ffn"] == (misses if model.num_dense_layers
+                                            else 0)
+
+    @pytest.mark.parametrize("cls", [StepModel, _FlatEfficiencyStepModel])
+    @pytest.mark.parametrize("plan", [ParallelPlan(), ParallelPlan(tp=2),
+                                      ParallelPlan(tp=2, ep=2)])
+    def test_breakdown_equals_per_layer_loop(self, cls, plan):
+        # DeepSeek-VL2-Tiny: one leading dense layer, then MoE layers
+        assert DEEPSEEK_VL2_TINY.first_k_dense == 1
+        steps = cls(DEEPSEEK_VL2_TINY, H100_SXM, plan=plan)
+        for m, batch, kv, phase, att in _SHAPES:
+            bd = steps._compute_step_breakdown(float(m), batch, kv, phase,
+                                               att)
+            ref = _per_layer_sums(steps, float(m), batch, kv, att)
+            for name in ("attention", "moe_ffn", "dense_ffn"):
+                assert bd.components[name] == ref[name]
+            assert bd.subcomponents == {"router": ref["router"]}
+            comm = 0.0
+            if plan.tp > 1:
+                model, quant = steps.model, steps.quant
+                n_ar = model.num_layers + model.num_dense_layers + (
+                    model.num_moe_layers
+                    if plan.expert_shard_tp > 1 or plan.ep == 1 else 0)
+                comm += n_ar * allreduce_time(
+                    m * model.hidden_size * quant.activation_bytes,
+                    plan.tp, H100_SXM)
+            comm += ref["moe_comm"]
+            assert bd.comm == comm
