@@ -3,8 +3,8 @@
 Unlike the ``bench_fig*`` files (which time whole experiment
 regenerations), these exercise the hot paths of the library under real
 multi-round pytest-benchmark timing: the NumPy MoE layer (fused vs
-unfused), the router, the serving engine's iteration loop, and the
-analytical model evaluation.
+unfused), the router, the serving engine's submission path and iteration
+loop, and the analytical model evaluation.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from repro.moe.router import TopKRouter
 from repro.perfmodel.inference import InferencePerfModel
 from repro.serving.engine import ServingEngine
 from repro.serving.request import Request, SamplingParams
+from repro.workloads.generator import LengthDistribution
+from repro.workloads.traces import poisson_arrivals
 
 _RNG = np.random.default_rng(0)
 _HIDDEN = 256
@@ -83,3 +85,21 @@ def test_serving_engine_run(benchmark):
 
     result = benchmark(serve)
     assert all(r.is_finished for r in result.requests)
+
+
+def test_engine_submit(benchmark):
+    """Submission alone: 4,000 Poisson arrivals into a fresh engine (the
+    arrival queue is kept sorted by binary insertion)."""
+    pm = InferencePerfModel(OLMOE_1B_7B, H100_SXM)
+    rng = np.random.default_rng(3)
+    requests = LengthDistribution(mean_input=256, mean_output=64).requests(
+        4000, rng, poisson_arrivals(100.0, 4000, rng))
+
+    def submit_all():
+        engine = ServingEngine(pm)
+        for req in requests:
+            engine.submit(req)
+        return engine
+
+    engine = benchmark(submit_all)
+    assert len(engine._pending) == 4000

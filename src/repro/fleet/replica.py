@@ -180,9 +180,7 @@ class Replica:
             engine.scheduler.evict(req)
         engine._pending.clear()
         orphans = admitted + pending
-        if orphans:
-            gone = set(map(id, orphans))
-            engine._all = [r for r in engine._all if id(r) not in gone]
+        engine.disown(orphans)
         engine.clock = max(engine.clock, now)
         engine.log.record(Event(
             engine.clock, EventType.FAULT,

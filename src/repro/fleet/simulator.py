@@ -342,9 +342,13 @@ class FleetSimulator:
             replica.retire_if_drained(t)
 
     def _collect_terminals(self) -> None:
+        # a dead or retired replica logs no more FINISH/FAIL events: kills
+        # and retires both land after this collection, with no engine step
+        # in between, so its feed is already drained
         fresh: list[tuple[float, int]] = []
         for replica in self.replicas:
-            fresh.extend(replica.new_terminals())
+            if replica.alive:
+                fresh.extend(replica.new_terminals())
         fresh.sort()
         obs = self._active_obs()
         for time, rid in fresh:

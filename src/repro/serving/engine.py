@@ -15,6 +15,7 @@ model.  An ablation bench compares the two.
 from __future__ import annotations
 
 import math
+from bisect import insort_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -33,6 +34,11 @@ from repro.serving.request import Request, RequestState, SamplingParams
 from repro.serving.scheduler import ScheduledBatch, Scheduler, SchedulerConfig
 
 __all__ = ["ServingResult", "ServingEngine", "serve_static_batch"]
+
+
+def _admission_time(request: Request) -> float:
+    """Sort key of the arrival queue (see ``ServingEngine._enqueue``)."""
+    return request.effective_arrival_time
 
 
 @dataclass
@@ -296,8 +302,12 @@ class ServingEngine:
         self.clock = 0.0
         self.log = EventLog()
         self._rng = rng or np.random.default_rng(0)
-        self._pending: list[Request] = []  # future arrivals, sorted
+        self._pending: list[Request] = []
+        """Submitted requests not yet admitted, ordered by
+        ``effective_arrival_time``; ties keep submission order."""
         self._all: list[Request] = []
+        self._ids: set[int] = set()
+        """``request_id`` of every request in ``_all``."""
         self.faults = fault_injector
         """Optional fault injector; ``None`` (or an unarmed schedule)
         leaves the engine's behaviour bit-identical to the default."""
@@ -323,16 +333,21 @@ class ServingEngine:
     # ------------------------------------------------------------------ #
 
     def submit(self, request: Request) -> None:
-        """Queue a request (rejects shapes that can never fit the pool)."""
+        """Queue a request.  Rejects a ``request_id`` this engine already
+        owns and shapes that can never fit the pool."""
+        if request.request_id in self._ids:
+            raise ValueError(
+                f"request id {request.request_id} is already submitted to "
+                "this engine; ids must be unique")
         capacity = self.kv.num_blocks * self.kv.block_size
         if request.total_length_budget > capacity:
             raise ValueError(
                 f"request {request.request_id} needs {request.total_length_budget} "
                 f"KV slots but the pool holds {capacity}"
             )
+        self._enqueue(request)
         self._all.append(request)
-        self._pending.append(request)
-        self._pending.sort(key=lambda r: r.effective_arrival_time)
+        self._ids.add(request.request_id)
         obs = self._active_obs()
         if obs is not None:
             obs.metrics.counter(
@@ -344,8 +359,26 @@ class ServingEngine:
         admission at ``request.effective_arrival_time`` (the backoff
         deadline), while latency metrics stay anchored to the original
         arrival."""
-        self._pending.append(request)
-        self._pending.sort(key=lambda r: r.effective_arrival_time)
+        self._enqueue(request)
+
+    def _enqueue(self, request: Request) -> None:
+        """Insert into ``_pending`` after every request with an equal key:
+        the order a stable sort of the appended list gives, in O(log n)
+        key reads.  Keys must be finite so they are totally ordered."""
+        if not math.isfinite(request.effective_arrival_time):
+            raise ValueError(
+                f"request {request.request_id} enters admission at "
+                f"{request.effective_arrival_time}; the time must be finite")
+        insort_right(self._pending, request, key=_admission_time)
+
+    def disown(self, requests: list[Request]) -> None:
+        """Drop ``requests`` from this engine's record (``_all`` and the
+        id set) after they have left its queues, so they can be
+        submitted to another engine."""
+        if requests:
+            gone = set(map(id, requests))
+            self._all = [r for r in self._all if id(r) not in gone]
+            self._ids.difference_update(r.request_id for r in requests)
 
     def in_flight(self) -> list[Request]:
         """Admitted, non-terminal requests (running first, then waiting) —

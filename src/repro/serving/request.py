@@ -10,6 +10,7 @@ timestamps from which TTFT/ITL/E2E are derived.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 __all__ = ["SamplingParams", "RequestState", "Request"]
@@ -80,8 +81,10 @@ class Request:
     def __post_init__(self) -> None:
         if self.prompt_tokens <= 0:
             raise ValueError(f"prompt_tokens must be positive, got {self.prompt_tokens}")
-        if self.arrival_time < 0:
-            raise ValueError("arrival_time must be non-negative")
+        if not math.isfinite(self.arrival_time) or self.arrival_time < 0:
+            raise ValueError(
+                f"arrival_time must be finite and non-negative, got "
+                f"{self.arrival_time}")
         if self.num_images < 0:
             raise ValueError("num_images must be non-negative")
 

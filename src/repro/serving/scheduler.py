@@ -193,12 +193,12 @@ class Scheduler:
         return ScheduledBatch(phase="prefill", requests=batch, num_tokens=tokens)
 
     def _schedule_decode(self) -> ScheduledBatch:
-        preempted: list[Request] = []
         # grow each running sequence by one slot, preempting LIFO on pressure
         runnable: list[Request] = list(self.running)
         victims: list[Request] = []
-        for req in list(runnable):
-            if req in victims:
+        victim_ids: set[int] = set()
+        for req in runnable:
+            if id(req) in victim_ids:
                 continue
             appended = False
             while not appended:
@@ -207,22 +207,21 @@ class Scheduler:
                     break
                 # free the most recently admitted other sequence; if none is
                 # left, this sequence itself yields (recompute later)
-                candidates = [r for r in runnable if r is not req and r not in victims]
+                candidates = [r for r in runnable
+                              if r is not req and id(r) not in victim_ids]
                 victim = candidates[-1] if candidates else req
                 victims.append(victim)
+                victim_ids.add(id(victim))
                 self._preempt(victim)
                 if victim is req:
                     break
         if victims:
-            for v in victims:
-                runnable.remove(v)
-                preempted.append(v)
-            self.running = [r for r in self.running if r not in victims]
+            self.running = [r for r in self.running if id(r) not in victim_ids]
         return ScheduledBatch(
             phase="decode",
             requests=list(self.running),
             num_tokens=len(self.running),
-            preempted=preempted,
+            preempted=victims,
         )
 
     def _preempt(self, req: Request) -> None:
@@ -259,7 +258,9 @@ class Scheduler:
         for req in finished:
             req.state = RequestState.FINISHED
             self.kv.free(req.request_id)
-            self.running.remove(req)
+        if finished:
+            done = set(map(id, finished))
+            self.running = [r for r in self.running if id(r) not in done]
 
     # ------------------------------------------------------------------ #
     # fault-injection support

@@ -33,7 +33,8 @@ from repro.faults.invariants import InvariantViolation
 from repro.faults.schedule import replica_storm
 from repro.fleet.admission import AdmissionConfig
 from repro.fleet.autoscaler import AutoscalerConfig
-from repro.fleet.harness import fleet_smoke_run, smoke_fleet_config
+from repro.fleet.harness import fleet_smoke_run, smoke_fleet_config, \
+    smoke_trace
 from repro.fleet.invariants import check_fleet_invariants, fleet_digest
 from repro.fleet.router import ROUTER_POLICIES
 from repro.fleet.simulator import FleetConfig, FleetSimulator
@@ -257,6 +258,13 @@ class TestSmokeScenario:
         assert result.heals, "the storm must land at least one heal"
         assert result.kv_hits > 0, "templated smoke traffic must hit"
 
+    def test_engine_id_sets_track_their_records(self):
+        # killed replicas hand their orphans back, so every engine's
+        # duplicate-id guard covers exactly the requests it still owns
+        for replica in fleet_smoke_run().replicas:
+            engine = replica.engine
+            assert engine._ids == {r.request_id for r in engine._all}
+
     def test_audit_rejects_doctored_runs(self):
         result = fleet_smoke_run()
         # claim a finished request was *also* shed: the conservation audit
@@ -265,3 +273,38 @@ class TestSmokeScenario:
         result.shed.append(victim)
         with pytest.raises(InvariantViolation):
             check_fleet_invariants(result)
+
+
+class _PollEveryReplica(FleetSimulator):
+    """Reference terminal feed: polls dead and retired replicas too."""
+
+    def _collect_terminals(self) -> None:
+        fresh = sorted(t for r in self.replicas for t in r.new_terminals())
+        for time, rid in fresh:
+            self.admission.on_terminal(self._by_id[rid], time)
+
+
+class TestTerminalFeed:
+    @staticmethod
+    def _run(cls, seed: int):
+        sim = cls(smoke_fleet_config())
+        feed: list[tuple[int, float]] = []
+        on_terminal = sim.admission.on_terminal
+
+        def record(req, now):
+            feed.append((req.request_id, now))
+            on_terminal(req, now)
+
+        sim.admission.on_terminal = record
+        return sim.run(smoke_trace(seed=seed)), feed
+
+    @pytest.mark.parametrize("seed", [23, 5, 11])
+    def test_live_replica_poll_matches_polling_every_replica(self, seed):
+        result, feed = self._run(FleetSimulator, seed)
+        reference, reference_feed = self._run(_PollEveryReplica, seed)
+        # the scenario retires replicas all three ways: kill, heal, drain
+        assert result.num_kills and result.heals
+        assert any(d.action == "down" for d in result.scale_decisions)
+        assert fleet_digest(result) == fleet_digest(reference)
+        assert feed == reference_feed
+        assert result.budgets == reference.budgets

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.hardware.gpus import H100_SXM
 from repro.models.zoo import MIXTRAL_8X7B, OLMOE_1B_7B, get_model
@@ -264,3 +268,90 @@ class TestResultValueCaches:
             empty._ttft_values()
         with pytest.raises(ValueError):
             empty._ttft_values()  # failure is not cached either
+
+
+class TestArrivalQueue:
+    """``_pending`` stays in the order a stable sort of every submitted and
+    requeued request by ``effective_arrival_time`` gives."""
+
+    # a coarse grid makes exact ties the common case; retries land on,
+    # between and beyond the arrival grid points
+    _ARRIVALS = (0.0, 0.002, 0.004)
+    _RETRIES = (0.0, 0.001, 0.002, 0.003, 0.004, 0.005)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(ops=st.lists(
+        st.one_of(st.tuples(st.just("submit"), st.sampled_from(_ARRIVALS)),
+                  st.tuples(st.just("requeue"), st.sampled_from(_RETRIES))),
+        min_size=1, max_size=30))
+    def test_matches_stable_sort_reference(self, olmoe_pm, ops):
+        eng = ServingEngine(olmoe_pm)
+        reference: list[Request] = []
+        for rid, (kind, t) in enumerate(ops):
+            if kind == "submit":
+                req = make_request(rid, prompt=16, out=2, arrival=t)
+                eng.submit(req)
+            else:
+                req = make_request(rid, prompt=16, out=2, arrival=0.0)
+                req.reset_for_retry(retry_time=t)
+                eng.requeue(req)
+            reference.append(req)
+            reference.sort(key=lambda r: r.effective_arrival_time)
+            assert [id(r) for r in eng._pending] == [id(r) for r in reference]
+        res = eng.run()
+        arrivals = [rid for e in res.log.events if e.type is EventType.ARRIVAL
+                    for rid in e.request_ids]
+        assert arrivals == [r.request_id for r in reference]
+
+    def test_submission_reads_each_key_logarithmically(self, olmoe_pm):
+        reads = [0]
+
+        class CountingRequest(Request):
+            @property
+            def effective_arrival_time(self) -> float:
+                reads[0] += 1
+                return Request.effective_arrival_time.fget(self)
+
+        n = 4096
+        eng = ServingEngine(olmoe_pm)
+        for i in range(n):  # reverse arrival order: every insert is at the head
+            eng.submit(CountingRequest(
+                request_id=i, prompt_tokens=16,
+                sampling=SamplingParams(max_tokens=2),
+                arrival_time=float(n - i)))
+        assert reads[0] <= n * (math.ceil(math.log2(n)) + 2)
+        assert [r.request_id for r in eng._pending] == list(range(n - 1, -1, -1))
+
+
+class TestSubmitValidation:
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arrival_rejected(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            make_request(0, arrival=t)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_retry_time_rejected(self, olmoe_pm, t):
+        eng = ServingEngine(olmoe_pm)
+        req = make_request(0)
+        req.reset_for_retry(retry_time=t)
+        with pytest.raises(ValueError, match="finite"):
+            eng.requeue(req)
+        assert eng._pending == []
+
+    def test_arrival_mutated_to_nan_rejected_at_submit(self, olmoe_pm):
+        eng = ServingEngine(olmoe_pm)
+        req = make_request(0)
+        req.arrival_time = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            eng.submit(req)
+        assert eng._pending == [] and eng._all == []
+
+    def test_duplicate_id_rejected(self, olmoe_pm):
+        eng = ServingEngine(olmoe_pm)
+        eng.submit(make_request(7))
+        with pytest.raises(ValueError, match="request id 7"):
+            eng.submit(make_request(7, arrival=1.0))
+        res = eng.run()
+        assert [r.request_id for r in res.requests] == [7]
+        assert res.requests[0].is_finished
