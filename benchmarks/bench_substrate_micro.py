@@ -4,7 +4,8 @@ Unlike the ``bench_fig*`` files (which time whole experiment
 regenerations), these exercise the hot paths of the library under real
 multi-round pytest-benchmark timing: the NumPy MoE layer (fused vs
 unfused), the router, the serving engine's submission path and iteration
-loop, and the analytical model evaluation.
+loop, one step pricing (a point and a 64-point axis), and the analytical
+model evaluation.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.moe.layer import MoELayer
 from repro.moe.model import MoETransformer
 from repro.moe.router import TopKRouter
 from repro.perfmodel.inference import InferencePerfModel
+from repro.perfmodel.phases import StepModel
 from repro.serving.engine import ServingEngine
 from repro.serving.request import Request, SamplingParams
 from repro.workloads.generator import LengthDistribution
@@ -65,6 +67,24 @@ def test_transformer_decode_step(benchmark):
 
     logits = benchmark(decode)
     assert logits.shape == (4, 1, cfg.vocab_size)
+
+
+_STEPS = StepModel(OLMOE_1B_7B, H100_SXM)
+
+
+def test_step_pricing_point(benchmark):
+    """One decode step priced through the point entry (the engine fast
+    path's miss probe; no step cache on this path)."""
+    total = benchmark(_STEPS.step_total_one, 16, 16, 1024)
+    assert total > 0
+
+
+def test_step_pricing_axis(benchmark):
+    """A 64-point decode axis priced in one array pass (a decode window)."""
+    batches = [16] * 64
+    contexts = list(range(1024, 1088))
+    totals = benchmark(_STEPS.decode_totals, batches, contexts)
+    assert len(totals) == 64 and totals[0] < totals[-1]
 
 
 def test_perfmodel_generate(benchmark):

@@ -3,7 +3,7 @@
 Usage::
 
     repro list
-    repro run fig05[,fig06,...] [--out results/] [--jobs N] [--no-vectorize]
+    repro run fig05[,fig06,...] [--out results/] [--jobs N]
     repro run ... [--no-vectorize-engine]
     repro run-all [--out results/] [--jobs N]
     repro summary [--out report.md] [--jobs N]
@@ -62,7 +62,7 @@ determinism gate).  ``bench`` maintains the
 (non-zero exit on ``--check`` failure); ``profile`` attributes a run's
 simulated time per phase × component and writes a folded-stack file for
 flamegraph tooling.  ``lint`` statically proves the simulator's
-invariants (determinism, unit consistency, scalar↔vectorized fast-path
+invariants (determinism, unit consistency, engine decode-window replay
 parity, registry drift) — the review-time complement to the dynamic
 gates.  See ``docs/observability.md``, ``docs/regression.md`` and
 ``docs/lint.md``.
@@ -89,8 +89,6 @@ __all__ = ["main"]
 def _apply_fastpath_flags(args: argparse.Namespace) -> None:
     """Export fast-path escape hatches to the environment so they reach
     both this process and any ``--jobs`` pool workers."""
-    if getattr(args, "no_vectorize", False):
-        os.environ["REPRO_NO_VECTORIZE"] = "1"
     if getattr(args, "no_vectorize_engine", False):
         os.environ["REPRO_NO_VECTORIZE_ENGINE"] = "1"
 
@@ -158,10 +156,6 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
                              "(default $REPRO_JOBS or 1; results merge in a "
                              "fixed order, so output is byte-identical for "
                              "any value)")
-    parser.add_argument("--no-vectorize", action="store_true",
-                        help="disable the vectorized sweep fast path "
-                             "(exported as REPRO_NO_VECTORIZE so pool "
-                             "workers inherit it)")
     parser.add_argument("--no-vectorize-engine", action="store_true",
                         help="disable the serving-engine batched decode "
                              "window (exported as REPRO_NO_VECTORIZE_ENGINE; "

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 from repro.core.metrics import GenerationShape, InferenceMetrics
 from repro.hardware.gpus import H100_SXM
 from repro.hardware.spec import HardwareSpec
@@ -12,7 +10,6 @@ from repro.models.params import model_params
 from repro.optim.quantization import FP16_CONFIG, QuantConfig
 from repro.parallel.plan import SINGLE_DEVICE, ParallelPlan
 from repro.perfmodel.inference import _DECODE_SAMPLES, InferencePerfModel
-from repro.perfmodel import vectorized as _vec
 
 __all__ = [
     "H100",
@@ -20,7 +17,6 @@ __all__ = [
     "perf_model",
     "metrics_row",
     "metrics_rows",
-    "vectorize_enabled",
     "PAPER_LLMS",
     "PAPER_VLMS",
 ]
@@ -74,13 +70,6 @@ def perf_model(
     return InferencePerfModel(model, hw, plan=plan, quant=quant, fused_moe=fused_moe)
 
 
-def vectorize_enabled() -> bool:
-    """Whether sweeps may use the vectorized fast path.  The escape hatch
-    is ``--no-vectorize`` on the CLI (exported as ``REPRO_NO_VECTORIZE``
-    so it also reaches parallel-runner workers)."""
-    return os.environ.get("REPRO_NO_VECTORIZE", "") in ("", "0")
-
-
 def _metric_columns(pm: InferencePerfModel, m: InferenceMetrics,
                     batch: int, in_tok: int, out_tok: int) -> dict[str, float | bool]:
     return {
@@ -103,33 +92,27 @@ def metrics_row(pm: InferencePerfModel, batch: int, in_tok: int, out_tok: int,
 
 def metrics_rows(pm: InferencePerfModel, shapes, images: int = 0) -> list[dict[str, float | bool]]:
     """:func:`metrics_row` for an axis of ``(batch, in_tok, out_tok)``
-    shapes against one deployment, evaluated as NumPy arrays in one pass.
+    shapes against one deployment, priced as NumPy arrays in one pass.
 
-    Bit-identical to the scalar loop (see :mod:`repro.perfmodel.vectorized`
-    for the contract); falls back to it when vectorization is disabled,
-    when the step model is a subclass the mirror does not cover, or when
-    the perf model is instrumented (the scalar path owns the eval
-    counters).
+    Bit-identical to the per-point loop (the step model's array and point
+    entries are one evaluation, see :mod:`repro.perfmodel.phases`); an
+    instrumented perf model takes the per-point path, which owns the
+    evaluation counters.
     """
     shapes = [(int(b), int(i), int(o)) for b, i, o in shapes]
-    scalar_path = (
-        not vectorize_enabled()
-        or not _vec.supports(pm.steps)
-        or (pm.obs is not None and pm.obs.active)
-    )
-    if scalar_path:
+    if pm.obs is not None and pm.obs.active:
         return [metrics_row(pm, b, i, o, images=images) for b, i, o in shapes]
 
-    vsm = _vec.VectorizedStepModel(pm.steps)
+    steps = pm.steps
     ctx0s = [pm._context_tokens(i, images) for _, i, _ in shapes]
-    ttfts = vsm.prefill_totals([b for b, _, _ in shapes], ctx0s)
+    ttfts = steps.prefill_totals([b for b, _, _ in shapes], ctx0s)
     if images > 0:
         # vision encode is per-point scalar (cheap, batch-dependent only)
-        ttfts = [t + pm.steps.vision_encode_time(b * images)
+        ttfts = [t + steps.vision_encode_time(b * images)
                  for t, (b, _, _) in zip(ttfts, shapes)]
 
     # decode integrates over sampled checkpoints of the growing context;
-    # flatten every (point, checkpoint) pair into one vectorized axis
+    # flatten every (point, checkpoint) pair into one array axis
     flat_b: list[int] = []
     flat_ctx: list[int] = []
     spans: list[tuple[int, int, int] | None] = []
@@ -144,7 +127,7 @@ def metrics_rows(pm: InferencePerfModel, shapes, images: int = 0) -> list[dict[s
             ctx = ctx0 + 1 + int(round(s * (n_steps - 1) / max(1, samples - 1)))
             flat_b.append(b)
             flat_ctx.append(ctx)
-    step_times = vsm.decode_totals(flat_b, flat_ctx) if flat_b else []
+    step_times = steps.decode_totals(flat_b, flat_ctx) if flat_b else []
 
     rows = []
     for (b, i, o), ttft, span in zip(shapes, ttfts, spans):

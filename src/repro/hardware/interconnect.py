@@ -3,10 +3,15 @@
 Standard ring/pairwise algorithm costs expressed through the alpha-beta
 model: ``time = hops * latency + volume / bandwidth``.  These terms feed
 the tensor-/expert-/pipeline-parallel performance models (paper §7.1).
+The all-reduce, all-to-all and point-to-point costs the step model uses
+also take a float64 array of message sizes (one collective per element).
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.elementwise import lowest, zero_where
 from repro.hardware.spec import HardwareSpec, InterconnectSpec
 
 __all__ = [
@@ -52,23 +57,31 @@ def require_interconnect(hw: HardwareSpec) -> InterconnectSpec:
     return hw.interconnect
 
 
-def _check(message_bytes: float, num_devices: int) -> None:
-    if message_bytes < 0:
+def _check(message_bytes, num_devices: int) -> None:
+    if lowest(message_bytes) < 0:
         raise ValueError("message_bytes must be non-negative")
     if num_devices < 1:
         raise ValueError("num_devices must be >= 1")
 
 
-def allreduce_time(message_bytes: float, num_devices: int, hw: HardwareSpec) -> float:
+def _nothing_moves(message_bytes) -> bool:
+    """Whether every message is empty (free, even without a link)."""
+    if isinstance(message_bytes, np.ndarray):
+        return not message_bytes.any()
+    return message_bytes == 0
+
+
+def allreduce_time(message_bytes, num_devices: int, hw: HardwareSpec):
     """Ring all-reduce: each device sends/receives ``2(n-1)/n`` of the
     message across ``2(n-1)`` latency-bound steps."""
     _check(message_bytes, num_devices)
-    if num_devices == 1 or message_bytes == 0:
+    if num_devices == 1 or _nothing_moves(message_bytes):
         return 0.0
     link = require_interconnect(hw)
     n = num_devices
     volume = 2.0 * (n - 1) / n * message_bytes
-    return volume / (link.link_bandwidth_gbps * 1e9) + 2 * (n - 1) * link.latency_us * 1e-6
+    return zero_where(message_bytes == 0, volume / (link.link_bandwidth_gbps * 1e9)
+                      + 2 * (n - 1) * link.latency_us * 1e-6)
 
 
 def allgather_time(message_bytes: float, num_devices: int, hw: HardwareSpec) -> float:
@@ -93,23 +106,25 @@ def reduce_scatter_time(message_bytes: float, num_devices: int, hw: HardwareSpec
     return volume / (link.link_bandwidth_gbps * 1e9) + (n - 1) * link.latency_us * 1e-6
 
 
-def all_to_all_time(message_bytes: float, num_devices: int, hw: HardwareSpec) -> float:
+def all_to_all_time(message_bytes, num_devices: int, hw: HardwareSpec):
     """Pairwise all-to-all where ``message_bytes`` is the total payload a
     device must redistribute; ``(n-1)/n`` of it crosses the fabric."""
     _check(message_bytes, num_devices)
-    if num_devices == 1 or message_bytes == 0:
+    if num_devices == 1 or _nothing_moves(message_bytes):
         return 0.0
     link = require_interconnect(hw)
     n = num_devices
     volume = (n - 1) / n * message_bytes
-    return volume / (link.link_bandwidth_gbps * 1e9) + (n - 1) * link.latency_us * 1e-6
+    return zero_where(message_bytes == 0, volume / (link.link_bandwidth_gbps * 1e9)
+                      + (n - 1) * link.latency_us * 1e-6)
 
 
-def p2p_time(message_bytes: float, hw: HardwareSpec) -> float:
+def p2p_time(message_bytes, hw: HardwareSpec):
     """One point-to-point transfer (pipeline-parallel stage boundary)."""
-    if message_bytes < 0:
+    if lowest(message_bytes) < 0:
         raise ValueError("message_bytes must be non-negative")
-    if message_bytes == 0:
+    if _nothing_moves(message_bytes):
         return 0.0
     link = require_interconnect(hw)
-    return message_bytes / (link.link_bandwidth_gbps * 1e9) + link.latency_us * 1e-6
+    return zero_where(message_bytes == 0, message_bytes / (link.link_bandwidth_gbps * 1e9)
+                      + link.latency_us * 1e-6)

@@ -18,16 +18,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.elementwise import lowest, maximum, per_element
 from repro.hardware.spec import HardwareSpec
 
-__all__ = ["KernelCost", "gemm_efficiency", "kernel_time", "gemm_cost",
-           "gemm_time", "arithmetic_intensity", "is_memory_bound"]
+__all__ = ["KernelCost", "gemm_efficiency", "kernel_time", "roofline_time",
+           "gemm_cost", "gemm_time", "arithmetic_intensity",
+           "is_memory_bound"]
 
 # Token-dimension scale at which GEMM efficiency reaches half its ceiling.
 # ~64 rows fill one MMA tile pipeline stage on Hopper-class hardware.
 _M_HALF = 256.0
 # Granularity penalty when inner dims are not multiples of the tile width.
 _TILE = 64
+# Datatypes whose tensor-core math runs through the quantized GEMM path.
+_QUANT_DTYPES = ("fp8_e4m3", "int8", "int4")
 
 
 @dataclass(frozen=True)
@@ -55,24 +61,58 @@ class KernelCost:
         return KernelCost(self.flops * factor, self.bytes * factor, self.dtype, self.launches)
 
 
-def gemm_efficiency(m: float, n: float, k: float, hw: HardwareSpec) -> float:
+def _tile_quant(d: float) -> float:
+    # work is issued in TILE-wide chunks; a 65-wide dim pays for 128
+    tiles = -(-d // _TILE)  # ceil division
+    return d / (tiles * _TILE)
+
+
+def gemm_efficiency(m, n, k, hw: HardwareSpec):
     """Fraction of tensor-core peak achieved by an ``m×k @ k×n`` GEMM.
 
     ``m`` is the token (batch) dimension.  Efficiency saturates towards the
     hardware's ``max_gemm_efficiency`` as ``m`` grows, with a mild
-    granularity penalty for inner dimensions that underfill tiles.
+    granularity penalty for inner dimensions that underfill tiles.  Any
+    dimension may be a float64 array (one GEMM per element); the tile
+    penalty is evaluated per element (float ``//`` on arrays is not
+    guaranteed to round like the scalar operator).
     """
-    if m <= 0 or n <= 0 or k <= 0:
+    if lowest(m) <= 0 or lowest(n) <= 0 or lowest(k) <= 0:
         raise ValueError(f"GEMM dims must be positive, got ({m}, {n}, {k})")
     sat = m / (m + _M_HALF)
-
-    def tile_quant(d: float) -> float:
-        # work is issued in TILE-wide chunks; a 65-wide dim pays for 128
-        tiles = -(-d // _TILE)  # ceil division
-        return d / (tiles * _TILE)
-
-    gran = tile_quant(n) * tile_quant(k)
+    gran = per_element(_tile_quant, n) * per_element(_tile_quant, k)
     return hw.max_gemm_efficiency * sat * gran
+
+
+def _roofline_terms(flops, bytes_, dtype: str, hw: HardwareSpec,
+                    efficiency):
+    """``(compute seconds, memory seconds)`` of one kernel."""
+    if efficiency is None:
+        eff = hw.max_gemm_efficiency  # validated positive by HardwareSpec
+    elif lowest(efficiency) <= 0:
+        raise ValueError("efficiency must be positive")
+    else:
+        eff = efficiency
+    if dtype in _QUANT_DTYPES:
+        eff = eff * hw.quant_gemm_derate
+    t_compute = (flops / (hw.peak_flops_per_s(dtype) * eff)
+                 if isinstance(flops, np.ndarray) or flops else 0.0)
+    t_memory = (bytes_ / hw.mem_bytes_per_s
+                if isinstance(bytes_, np.ndarray) or bytes_ else 0.0)
+    return t_compute, t_memory
+
+
+def roofline_time(flops, bytes_, dtype: str, launches: int, hw: HardwareSpec,
+                  efficiency=None):
+    """Execution time in seconds of a kernel given as its terms.
+
+    The array-capable form of :func:`kernel_time`: ``flops``, ``bytes_``
+    and ``efficiency`` may be float64 arrays (one kernel per element),
+    and no :class:`KernelCost` is built, which keeps per-component step
+    pricing cheap.
+    """
+    t_compute, t_memory = _roofline_terms(flops, bytes_, dtype, hw, efficiency)
+    return maximum(t_compute, t_memory) + launches * hw.kernel_launch_us * 1e-6
 
 
 def kernel_time(cost: KernelCost, hw: HardwareSpec, efficiency: float | None = None) -> float:
@@ -82,14 +122,8 @@ def kernel_time(cost: KernelCost, hw: HardwareSpec, efficiency: float | None = N
     :func:`gemm_time`, which knows its shape); the default assumes a large,
     well-shaped kernel.
     """
-    eff = hw.max_gemm_efficiency if efficiency is None else efficiency
-    if eff <= 0:
-        raise ValueError("efficiency must be positive")
-    if cost.dtype in ("fp8_e4m3", "int8", "int4"):
-        eff *= hw.quant_gemm_derate
-    t_compute = cost.flops / (hw.peak_flops_per_s(cost.dtype) * eff) if cost.flops else 0.0
-    t_memory = cost.bytes / hw.mem_bytes_per_s if cost.bytes else 0.0
-    return max(t_compute, t_memory) + cost.launches * hw.kernel_launch_us * 1e-6
+    return roofline_time(cost.flops, cost.bytes, cost.dtype, cost.launches,
+                         hw, efficiency)
 
 
 def arithmetic_intensity(cost: KernelCost) -> float:
@@ -102,11 +136,8 @@ def arithmetic_intensity(cost: KernelCost) -> float:
 def is_memory_bound(cost: KernelCost, hw: HardwareSpec,
                     efficiency: float | None = None) -> bool:
     """Whether the memory term dominates this kernel's roofline time."""
-    eff = hw.max_gemm_efficiency if efficiency is None else efficiency
-    if cost.dtype in ("fp8_e4m3", "int8", "int4"):
-        eff *= hw.quant_gemm_derate
-    t_compute = cost.flops / (hw.peak_flops_per_s(cost.dtype) * eff) if cost.flops else 0.0
-    t_memory = cost.bytes / hw.mem_bytes_per_s if cost.bytes else 0.0
+    t_compute, t_memory = _roofline_terms(cost.flops, cost.bytes, cost.dtype,
+                                          hw, efficiency)
     return t_memory >= t_compute
 
 

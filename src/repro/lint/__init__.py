@@ -6,8 +6,9 @@ Four rule families, all AST-based (nothing executes):
   iteration outside the wall channel (bit-identical fingerprints);
 * **UNIT0xx** unit consistency: suffix-inferred dimensional analysis of
   the roofline arithmetic in ``repro.perfmodel`` / ``repro.hardware``;
-* **PAR0xx** fast-path parity: the scalar :class:`StepModel` and its
-  vectorized mirror must change together (snapshot + literal mirroring);
+* **PAR0xx** fast-path parity: the scalar engine iteration and the
+  batched decode-window replay must change together (snapshot + literal
+  mirroring);
 * **REG0xx** registry drift: experiments ↔ BENCH baselines ↔
   EXPERIMENTS.md ↔ CLI surface.
 

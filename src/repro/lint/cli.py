@@ -46,7 +46,7 @@ def add_lint_parser(sub: "argparse._SubParsersAction") -> None:
     p.add_argument("--update-baseline", action="store_true",
                    help="re-record the baseline from the current findings")
     p.add_argument("--update-parity", action="store_true",
-                   help="re-record the scalar<->vectorized parity snapshot "
+                   help="re-record the engine decode-window parity snapshot "
                         "(LINT_PARITY.json) after a verified paired edit")
     p.add_argument("--list-rules", action="store_true",
                    help="print the rule catalog and exit")

@@ -2,8 +2,8 @@
 
 ``repro.lint`` proves the simulator's review-time invariants statically:
 determinism (no wall clocks or unseeded RNG outside the wall channel),
-dimensional consistency of the roofline arithmetic, scalar↔vectorized
-fast-path parity, and experiment-registry drift.  Rules are AST-based and
+dimensional consistency of the roofline arithmetic, engine decode-window
+replay parity, and experiment-registry drift.  Rules are AST-based and
 run over the committed source only — no experiment needs to execute.
 
 Vocabulary

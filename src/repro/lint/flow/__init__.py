@@ -19,7 +19,7 @@ and local-variable receiver types, and registry indirections like
   (argument vs parameter suffix, returned unit vs use-site arithmetic)
   instead of going silent at the first call.
 * **PAR1xx parity coverage** (:mod:`repro.lint.flow.coverage`) —
-  scalar↔vectorized mirror candidates are auto-discovered by name
+  scalar-engine ↔ fast-path mirror candidates are auto-discovered by name
   heuristics over the fast-path modules, and every candidate must be
   registered in ``repro.lint.parity.PAIRS`` (and therefore fingerprinted
   in ``LINT_PARITY.json``) or explicitly allowlisted — the manifest is

@@ -2,25 +2,25 @@
 
 PAR001/PAR002 police the pairs someone *remembered to register* in
 ``repro.lint.parity.PAIRS``.  The coverage gap is the pair nobody
-registered: a new vectorized mirror lands in ``perfmodel.vectorized`` or
-``serving.fastpath``, prices sweeps immediately, and drifts from its
-scalar twin with no fingerprint watching.  These rules close the gap by
+registered: a new function lands in ``serving.fastpath``, replays part
+of the scalar engine iteration immediately, and drifts from its scalar
+twin with no fingerprint watching.  These rules close the gap by
 *discovering* mirror candidates instead of trusting the manifest:
 
-* every function on the vectorized side (``vectorized.py`` /
-  ``fastpath.py``) is reduced to a **mirror key** — lowercase, leading
-  underscores stripped, bookkeeping suffixes (``_time``, ``_totals``,
-  ``_cost``, ``_eff``...) dropped — and matched against the scalar
-  surface (``phases`` / ``flops`` / ``roofline`` / ``interconnect`` /
-  ``engine`` / ``scheduler`` / ``kv_cache``) by key;
-* a vectorized function whose key has a scalar twin but no committed
+* every function on the fast-path side (``fastpath.py``) is reduced to a
+  **mirror key** — lowercase, leading underscores stripped, bookkeeping
+  suffixes (``_time``, ``_totals``, ``_cost``, ``_eff``...) dropped — and
+  matched against the scalar surface (``phases`` / ``flops`` /
+  ``roofline`` / ``interconnect`` / ``engine`` / ``scheduler`` /
+  ``kv_cache``) by key;
+* a fast-path function whose key has a scalar twin but no committed
   ``PairSpec`` is a PAR101 error (register the pair or allowlist it);
-* a vectorized function with neither twin nor coverage nor allowlist
+* a fast-path function with neither twin nor coverage nor allowlist
   entry is a PAR102 error — new fast-path code cannot land unwatched.
 
-``PARITY_IGNORE`` is the explicit, reasoned allowlist for vectorized
-helpers that genuinely have no scalar mirror (array plumbing, feature
-probes).  Dunders are skipped — construction is not a cost expression.
+``PARITY_IGNORE`` is the explicit, reasoned allowlist for fast-path
+helpers that genuinely have no scalar mirror (feature probes).  Dunders
+are skipped — construction is not a cost expression.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = ["PARITY_IGNORE", "VECTOR_FILES", "SCALAR_FILES", "mirror_key",
            "UnwatchedVectorRule"]
 
 VECTOR_FILES = (
-    "src/repro/perfmodel/vectorized.py",
     "src/repro/serving/fastpath.py",
 )
 
@@ -50,20 +49,8 @@ SCALAR_FILES = (
     "src/repro/serving/kv_cache.py",
 )
 
-#: (path, qualname) -> why this vectorized function has no scalar mirror
+#: (path, qualname) -> why this fast-path function has no scalar mirror
 PARITY_IGNORE: dict[tuple[str, str], str] = {
-    ("src/repro/perfmodel/vectorized.py", "supports"):
-        "capability probe — answers 'can this sweep vectorize', no cost",
-    ("src/repro/perfmodel/vectorized.py", "_zeros"):
-        "array-allocation shim over the optional numpy backend",
-    ("src/repro/perfmodel/vectorized.py", "_maximum"):
-        "elementwise-max shim; scalar code uses builtin max directly",
-    ("src/repro/perfmodel/vectorized.py", "_minimum"):
-        "elementwise-min shim; scalar code uses builtin min directly",
-    ("src/repro/perfmodel/vectorized.py", "_map"):
-        "broadcast helper for applying a scalar fn across lanes",
-    ("src/repro/perfmodel/vectorized.py", "VectorizedStepModel._link"):
-        "dispatch table over _allreduce/_all_to_all/_p2p, each mirrored",
     ("src/repro/serving/fastpath.py", "engine_vectorize_enabled"):
         "feature flag probe — no arithmetic to mirror",
 }
@@ -114,7 +101,7 @@ def _surface(project: LintProject,
 
 
 def discover(project: LintProject) -> list[dict]:
-    """Coverage verdict for every vectorized-side function.
+    """Coverage verdict for every fast-path-side function.
 
     Each entry: ``{"path", "qualname", "line", "status", "twins"}`` with
     status one of ``covered`` / ``ignored`` / ``unregistered`` (twin
@@ -151,7 +138,7 @@ class UnregisteredMirrorRule(ProjectRule):
     name = "unregistered-mirror"
     severity = "error"
     description = (
-        "a vectorized-side function has a scalar twin (matched by mirror "
+        "a fast-path function has a scalar twin (matched by mirror "
         "key) but no committed PairSpec — its fingerprint pair is not "
         "being watched by PAR001/PAR002"
     )
@@ -180,7 +167,7 @@ class UnwatchedVectorRule(ProjectRule):
     name = "unwatched-vector-function"
     severity = "error"
     description = (
-        "a vectorized-side function has no scalar twin, no PairSpec "
+        "a fast-path function has no scalar twin, no PairSpec "
         "coverage, and no PARITY_IGNORE entry — fast-path code cannot "
         "land unwatched"
     )

@@ -1,30 +1,33 @@
-"""Fast-path parity lints (PAR0xx): scalar ↔ vectorized mirrors.
+"""Fast-path parity lints (PAR0xx): the engine decode-window replay.
 
-``repro.perfmodel.vectorized`` re-implements the scalar
-:class:`~repro.perfmodel.phases.StepModel` arithmetic operand-for-operand
-so sweeps can be priced as arrays while staying bit-identical (the PR-2
+``repro.serving.fastpath.EngineFastPath`` advances runs of quiet decode
+iterations in one batched window, and must reproduce the scalar
+``ServingEngine.step`` loop operand for operand: the clock, the mean
+decode context, the KV block pops and the step totals (the PR-2
 fingerprint gate digests ``repr()`` of every float).  That contract is
-enforced dynamically by ``tests/test_perfmodel_vectorized.py`` — but only
-for the shapes the tests happen to cover.  These rules prove the
-*editing* invariant statically: you cannot change one side of a mirrored
-cost expression without touching the other.
+enforced dynamically by ``tests/test_engine_fastpath.py`` — but only for
+the workloads the tests happen to cover.  These rules prove the
+*editing* invariant statically: you cannot change one side of a replayed
+computation without touching the other.
 
-Two mechanisms per mirrored pair:
+Two mechanisms per registered pair:
 
 * **snapshot parity** (PAR001) — a normalized AST fingerprint of each
   side is recorded in the committed ``LINT_PARITY.json``; if exactly one
-  side's fingerprint drifts, someone edited scalar *or* vectorized code
-  without its mirror.  If both drift, the edit was paired — re-record
-  with ``repro lint --update-parity`` (after the parity tests pass) so
-  the manifest follows the code.
+  side's fingerprint drifts, someone edited the scalar engine *or* the
+  decode window without its twin.  If both drift, the edit was paired —
+  re-record with ``repro lint --update-parity`` (after the fast-path
+  tests pass) so the manifest follows the code.
 * **literal mirroring** (PAR002) — every distinct numeric literal of the
-  vectorized side must appear among the scalar side's literals, after
-  inlining the scalar cost helpers it delegates to (``qkvo_cost`` et
-  al.) and the vectorized private helpers.  A coefficient changed on one
-  side only breaks the set immediately, with no recorded state needed
-  (multiplicity is deliberately ignored — array code legitimately
-  repeats constants across scalar/ndarray branches; the snapshot rule
-  owns same-value structural drift).
+  fast-path side must appear among the scalar side's literals, after
+  inlining the helpers each side delegates to.  A coefficient changed on
+  one side only breaks the set immediately, with no recorded state
+  needed (multiplicity is deliberately ignored; the snapshot rule owns
+  same-value structural drift).
+
+The step cost itself has one implementation
+(:class:`repro.perfmodel.phases.StepModel`, point and array inputs
+alike), so no step-model pair is registered.
 """
 
 from __future__ import annotations
@@ -45,11 +48,6 @@ __all__ = ["PAIRS", "PairSpec", "function_fingerprint", "literal_multiset",
 
 MANIFEST_NAME = "LINT_PARITY.json"
 
-_SCALAR_PHASES = "src/repro/perfmodel/phases.py"
-_SCALAR_FLOPS = "src/repro/perfmodel/flops.py"
-_SCALAR_ROOF = "src/repro/hardware/roofline.py"
-_SCALAR_ICN = "src/repro/hardware/interconnect.py"
-_VECTOR = "src/repro/perfmodel/vectorized.py"
 _ENGINE = "src/repro/serving/engine.py"
 _FASTPATH = "src/repro/serving/fastpath.py"
 _SCHED = "src/repro/serving/scheduler.py"
@@ -58,15 +56,14 @@ _KV = "src/repro/serving/kv_cache.py"
 
 @dataclasses.dataclass(frozen=True)
 class PairSpec:
-    """One mirrored scalar/vectorized pair.
+    """One scalar-engine / fast-path pair.
 
     ``scalar_inline`` / ``vector_inline`` name helper functions whose
     literals are merged into the respective side before the PAR002
-    multiset comparison (the scalar side delegates coefficients to
-    ``repro.perfmodel.flops``; the vectorized side to its private
-    ``_``-helpers).  ``literal_mirror=False`` restricts a pair to
-    snapshot parity when its sides legitimately use different constants
-    (e.g. input-validation guards with no vectorized counterpart).
+    multiset comparison (the scalar step delegates to the scheduler and
+    KV cache; the window to its private ``_``-helpers).
+    ``literal_mirror=False`` restricts a pair to snapshot parity when its
+    sides legitimately use different constants.
     """
 
     pair_id: str
@@ -78,93 +75,8 @@ class PairSpec:
 
 
 PAIRS: tuple[PairSpec, ...] = (
-    PairSpec(
-        "attention",
-        (_SCALAR_PHASES, "StepModel._attention_time"),
-        (_VECTOR, "VectorizedStepModel._attention_time"),
-        scalar_inline=((_SCALAR_FLOPS, "qkvo_cost"),
-                       (_SCALAR_FLOPS, "attention_core_cost")),
-    ),
-    PairSpec(
-        "moe_ffn",
-        (_SCALAR_PHASES, "StepModel._moe_ffn_time"),
-        (_VECTOR, "VectorizedStepModel._moe_ffn_time"),
-        scalar_inline=((_SCALAR_FLOPS, "router_cost"),
-                       (_SCALAR_FLOPS, "routed_experts_cost"),
-                       (_SCALAR_FLOPS, "shared_expert_cost"),
-                       (_SCALAR_ICN, "all_to_all_time")),
-        vector_inline=((_VECTOR, "VectorizedStepModel._routed_experts_time"),
-                       (_VECTOR, "VectorizedStepModel._all_to_all")),
-    ),
-    PairSpec(
-        "dense_ffn",
-        (_SCALAR_PHASES, "StepModel._dense_ffn_time"),
-        (_VECTOR, "VectorizedStepModel._dense_ffn_time"),
-        scalar_inline=((_SCALAR_FLOPS, "dense_ffn_cost"),),
-    ),
-    PairSpec(
-        "step_total",
-        (_SCALAR_PHASES, "StepModel._compute_step_breakdown"),
-        (_VECTOR, "VectorizedStepModel._total"),
-        scalar_inline=((_SCALAR_FLOPS, "embedding_cost"),
-                       (_SCALAR_FLOPS, "lm_head_cost"),
-                       (_SCALAR_ICN, "allreduce_time"),
-                       (_SCALAR_ICN, "p2p_time")),
-        vector_inline=((_VECTOR, "VectorizedStepModel._allreduce"),
-                       (_VECTOR, "VectorizedStepModel._p2p")),
-    ),
-    PairSpec(
-        # the batched and one-point entries into the shared _total core:
-        # editing one validation/coercion path without the other silently
-        # forks what "the vectorized model" means between the sweep fast
-        # path (arrays) and the engine fast path (one-point probes)
-        "step_total_entry",
-        (_VECTOR, "VectorizedStepModel.step_totals"),
-        (_VECTOR, "VectorizedStepModel.step_total_one"),
-    ),
-    PairSpec(
-        "prefill",
-        (_SCALAR_PHASES, "StepModel.prefill_time"),
-        (_VECTOR, "VectorizedStepModel.prefill_totals"),
-    ),
-    PairSpec(
-        "decode",
-        (_SCALAR_PHASES, "StepModel.decode_step_time"),
-        (_VECTOR, "VectorizedStepModel.decode_totals"),
-    ),
-    PairSpec(
-        "component_time",
-        (_SCALAR_PHASES, "StepModel._component_time"),
-        (_VECTOR, "VectorizedStepModel._component_time"),
-    ),
-    PairSpec(
-        "kernel_time",
-        (_SCALAR_ROOF, "kernel_time"),
-        (_VECTOR, "VectorizedStepModel._kernel_time"),
-    ),
-    PairSpec(
-        "gemm_efficiency",
-        (_SCALAR_ROOF, "gemm_efficiency"),
-        (_VECTOR, "VectorizedStepModel._gemm_eff"),
-        vector_inline=((_VECTOR, "_tile_quant"),),
-    ),
-    PairSpec(
-        "allreduce",
-        (_SCALAR_ICN, "allreduce_time"),
-        (_VECTOR, "VectorizedStepModel._allreduce"),
-    ),
-    PairSpec(
-        "all_to_all",
-        (_SCALAR_ICN, "all_to_all_time"),
-        (_VECTOR, "VectorizedStepModel._all_to_all"),
-    ),
-    PairSpec(
-        "p2p",
-        (_SCALAR_ICN, "p2p_time"),
-        (_VECTOR, "VectorizedStepModel._p2p"),
-    ),
-    # ---- serving-engine fast path (phase 2): the batched decode window
-    # must track the scalar iteration it replays, operand for operand ----
+    # the batched decode window must track the scalar iteration it
+    # replays, operand for operand
     PairSpec(
         "engine_decode_window",
         (_ENGINE, "ServingEngine.step"),
@@ -287,14 +199,15 @@ def current_fingerprints(project: LintProject) -> dict:
 def update_manifest(root: pathlib.Path | str,
                     project: LintProject | None = None) -> pathlib.Path:
     """(Re-)record the parity snapshot — run after a *paired* edit, once
-    ``tests/test_perfmodel_vectorized.py`` passes."""
+    ``tests/test_engine_fastpath.py`` passes."""
     root = pathlib.Path(root)
     if project is None:
         project = LintProject(root)
     payload = {
         "version": 1,
-        "comment": ("scalar<->vectorized parity snapshot; refresh with "
-                    "`repro lint --update-parity` after a paired edit"),
+        "comment": ("scalar engine <-> decode-window parity snapshot; "
+                    "refresh with `repro lint --update-parity` after a "
+                    "paired edit"),
         "pairs": current_fingerprints(project),
     }
     path = manifest_path(root)
@@ -313,8 +226,8 @@ class SnapshotParityRule(ProjectRule):
     name = "fastpath-snapshot-parity"
     severity = "error"
     description = (
-        "a scalar StepModel cost expression and its vectorized mirror "
-        "must change together (snapshot recorded in LINT_PARITY.json)"
+        "the scalar engine iteration and the decode-window replay must "
+        "change together (snapshot recorded in LINT_PARITY.json)"
     )
 
     def check_project(self, project: LintProject) -> Iterator[Violation]:
@@ -362,10 +275,10 @@ class SnapshotParityRule(ProjectRule):
                     message=(
                         f"one-sided fast-path edit: {cur[side]['qualname']} "
                         f"changed but its {other} mirror "
-                        f"{cur[other]['qualname']} did not — the vectorized "
-                        f"sweep path must stay operand-for-operand identical "
-                        f"to the scalar model (mirror the edit, run "
-                        f"`pytest tests/test_perfmodel_vectorized.py`, then "
+                        f"{cur[other]['qualname']} did not — the decode "
+                        f"window must stay operand-for-operand identical "
+                        f"to the scalar engine (mirror the edit, run "
+                        f"`pytest tests/test_engine_fastpath.py`, then "
                         f"`repro lint --update-parity`)"))
             elif len(drifted) == 2:
                 yield Violation(
@@ -375,7 +288,7 @@ class SnapshotParityRule(ProjectRule):
                     message=(
                         f"paired fast-path edit to {spec.pair_id!r} — "
                         f"confirm bit parity (pytest "
-                        f"tests/test_perfmodel_vectorized.py && repro bench "
+                        f"tests/test_engine_fastpath.py && repro bench "
                         f"--check) and re-record the snapshot with "
                         f"`repro lint --update-parity`"))
 
@@ -386,7 +299,7 @@ class LiteralMirrorRule(ProjectRule):
     name = "fastpath-literal-mirror"
     severity = "error"
     description = (
-        "every numeric coefficient in a vectorized cost expression must "
+        "every numeric coefficient on the fast-path side of a pair must "
         "appear in its scalar counterpart (helpers inlined)"
     )
 
@@ -417,7 +330,7 @@ class LiteralMirrorRule(ProjectRule):
                     line=vector_fn.lineno, col=vector_fn.col_offset,
                     snippet=f"{spec.pair_id}:literals:{detail}",
                     message=(
-                        f"pair {spec.pair_id!r}: vectorized side uses "
+                        f"pair {spec.pair_id!r}: fast-path side uses "
                         f"coefficient(s) [{detail}] absent from the scalar "
                         f"side ({spec.scalar[1]} + inlined helpers) — a "
                         f"one-sided coefficient edit breaks bit parity"))

@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from repro.elementwise import lowest, minimum
+
 
 class AttentionKind(enum.Enum):
     """Flavour of the attention block, which determines KV-cache geometry."""
@@ -110,13 +112,14 @@ class AttentionConfig:
             return self.num_kv_heads * (k_dim + self.v_head_dim)
         return 2 * self.num_kv_heads * self.head_dim
 
-    def effective_kv_len(self, context_len: float) -> float:
+    def effective_kv_len(self, context_len):
         """KV positions actually held/attended for a context of
-        ``context_len`` tokens (bounded by the sliding window)."""
-        if context_len < 0:
+        ``context_len`` tokens (bounded by the sliding window); a float64
+        array of contexts is bounded per element."""
+        if lowest(context_len) < 0:
             raise ValueError("context_len must be non-negative")
         if self.sliding_window > 0:
-            return min(context_len, float(self.sliding_window))
+            return minimum(context_len, float(self.sliding_window))
         return context_len
 
 

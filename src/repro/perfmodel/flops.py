@@ -4,6 +4,8 @@ Each function returns a :class:`ComponentCost` describing one logical
 component of a decoder layer (projections, attention core, router, routed
 experts, ...) for a step that processes ``m`` new tokens.  The phase model
 (:mod:`repro.perfmodel.phases`) converts these into times via the roofline.
+The step shape (``m``, ``batch``, ``kv_len``) may be a float64 array, one
+step per element; the coverage term is then evaluated per element.
 
 The routing statistics that shape the MoE cost (expert coverage, EP load
 imbalance) live in :mod:`repro.moe.routing_math` and are re-exported here.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.elementwise import maximum, per_element
 from repro.models.config import AttentionKind, ModelConfig
 from repro.models.params import attention_params
 from repro.moe.routing_math import (
@@ -36,13 +39,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ComponentCost:
     """Raw cost of one component of one layer for one step.
 
     ``gemm_m/n/k`` describe the dominant GEMM shape (for the efficiency
     curve); a component without a meaningful GEMM sets them to 0 and is
-    treated as memory-bound.
+    treated as memory-bound.  A plain slotted record: step pricing builds
+    several per evaluation, and a frozen dataclass costs about three
+    times as much to construct.
     """
 
     name: str
@@ -154,7 +159,9 @@ def routed_experts_cost(
     n_mats = 3 if moe.gated else 2
 
     per_expert = n_mats * h * f
-    coverage = expected_expert_coverage(e, min(k, e), m)
+    k_eff = min(k, e)
+    coverage = per_element(
+        lambda tokens: expected_expert_coverage(e, k_eff, tokens), m)
     flops = 2.0 * m * k * per_expert
     w_bytes = coverage * per_expert * quant.weight_bytes
     # dispatch duplicates each token k times; intermediate is m*k*f
@@ -166,10 +173,10 @@ def routed_experts_cost(
         # dispatched activations are re-materialised, and the per-expert
         # weight streams lose coalescing relative to the grouped kernel
         launches = e + 2
-        a_bytes *= 2.0
-        w_bytes *= 1.15
+        a_bytes = a_bytes * 2.0
+        w_bytes = w_bytes * 1.15
 
-    tokens_per_expert = m * k / max(coverage, 1.0)
+    tokens_per_expert = m * k / maximum(coverage, 1.0)
     return ComponentCost(
         "experts", flops, w_bytes, a_bytes, launches=launches,
         gemm_m=tokens_per_expert, gemm_n=f, gemm_k=h,

@@ -11,14 +11,35 @@ times on a given hardware/parallelism/quantization deployment:
   which is why PP throughput stays flat in the paper's Fig. 13);
 * the fused-MoE toggle switches the expert path's launch count and
   intermediate traffic (Fig. 14).
+
+**One evaluation, two input kinds.**  :meth:`StepModel._components` prices
+one step shape given as Python floats, or a whole axis of shapes given as
+float64 arrays, through the same cost functions
+(:mod:`repro.perfmodel.flops`, :mod:`repro.hardware.roofline`,
+:mod:`repro.hardware.interconnect`).  IEEE-754 operations on float64
+arrays are elementwise identical to the same operations on Python floats,
+and the few terms whose NumPy form could round differently are evaluated
+per element (see :mod:`repro.elementwise`), so a point probe, an array
+pass and a :class:`PhaseBreakdown` of the same shape carry the same bits.
+Repeated per-layer accumulation stays repeated addition (``n`` adds are
+not a multiplication in floating point).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
+import numpy as np
+
+from repro.elementwise import maximum, per_element
 from repro.hardware.interconnect import all_to_all_time, allreduce_time, p2p_time
-from repro.hardware.roofline import KernelCost, gemm_efficiency, kernel_time
+from repro.hardware.roofline import (
+    KernelCost,
+    gemm_efficiency,
+    kernel_time,
+    roofline_time,
+)
 from repro.hardware.spec import HardwareSpec
 from repro.models.config import AttentionKind, ModelConfig
 from repro.optim.quantization import FP16_CONFIG, QuantConfig
@@ -29,7 +50,6 @@ from repro.perfmodel.flops import (
     attention_core_cost,
     dense_ffn_cost,
     embedding_cost,
-    expected_expert_coverage,
     expected_group_imbalance,
     lm_head_cost,
     qkvo_cost,
@@ -38,7 +58,9 @@ from repro.perfmodel.flops import (
     shared_expert_cost,
 )
 
-__all__ = ["PhaseBreakdown", "StepModel"]
+__all__ = ["PhaseBreakdown", "StepComponents", "StepModel"]
+
+_INF = float("inf")
 
 
 @dataclass
@@ -63,9 +85,6 @@ class PhaseBreakdown:
     @property
     def total(self) -> float:
         return sum(self.components.values()) + self.comm + self.pipeline + self.overhead
-
-    def add(self, name: str, seconds: float) -> None:
-        self.components[name] = self.components.get(name, 0.0) + seconds
 
     def shares(self) -> dict[str, float]:
         """Fraction of step time per component (comm/pipeline/overhead
@@ -93,6 +112,50 @@ class PhaseBreakdown:
         return "\n".join(lines)
 
 
+class StepComponents(NamedTuple):
+    """Seconds of one step (or one array of steps) per component, summed
+    over every layer.  ``router`` is the router's share of ``moe_ffn``
+    (overlapping it, excluded from :attr:`total`)."""
+
+    attention: float
+    moe_ffn: float
+    dense_ffn: float
+    embedding: float
+    lm_head: float
+    comm: float
+    pipeline: float
+    overhead: float
+    router: float
+
+    @property
+    def total(self):
+        """Step seconds, added in :attr:`PhaseBreakdown.total`'s order."""
+        return (self.attention + self.moe_ffn + self.dense_ffn + self.embedding
+                + self.lm_head + self.comm + self.pipeline + self.overhead)
+
+
+def _check(name: str, value, positive: bool) -> None:
+    """Reject a step-shape argument that is not finite and positive
+    (``positive``) or non-negative, naming it."""
+    if isinstance(value, np.ndarray):
+        if not value.size:
+            return
+        # NaN propagates into both reductions
+        low, high = np.minimum.reduce(value), np.maximum.reduce(value)
+        low_ok = (low > 0) if positive else (low >= 0)
+        if low_ok and high < _INF:
+            return
+        value = (high if low_ok else low).item()
+    elif (0 < value < _INF) if positive else (0 <= value < _INF):
+        return
+    kind = "positive" if positive else "non-negative"
+    raise ValueError(f"{name} must be finite and {kind}, got {value!r}")
+
+
+def _axis(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64)
+
+
 class StepModel:
     """Per-step execution-time model for one deployment."""
 
@@ -117,6 +180,7 @@ class StepModel:
         self.quant = quant
         self.fused_moe = fused_moe
         self.mla_native = mla_native
+        self._layer_is_moe = tuple(is_moe for _, is_moe in model.iter_layers())
         # intern the frozen setup once: per-step cache keys are flat tuples.
         # the concrete class is part of the setup — subclasses override
         # kernel-time methods (e.g. ablation variants) and must not share
@@ -139,8 +203,13 @@ class StepModel:
     # kernel-time helpers
     # ------------------------------------------------------------------ #
 
+    def _gemm_eff(self, m, n, k):
+        """Compute efficiency of an ``m×k @ k×n`` GEMM — the kernel method
+        ablation variants override (e.g. a flat efficiency)."""
+        return gemm_efficiency(m, n, k, self.hardware)
+
     def _component_time(self, cost: ComponentCost, shard: float = 1.0,
-                        kv_shard: float = 1.0, dtype: str | None = None) -> float:
+                        kv_shard: float = 1.0, dtype: str | None = None):
         """Roofline time of one component sharded ``shard``-ways.
 
         ``kv_shard`` separately divides activation/KV traffic for the
@@ -154,28 +223,25 @@ class StepModel:
         w_bytes = cost.weight_bytes / shard
         if self.quant.weights.is_quantized:
             # dequantisation stalls erode part of the bandwidth saving
-            w_bytes /= self.hardware.quant_mem_derate
+            w_bytes = w_bytes / self.hardware.quant_mem_derate
         a_bytes = cost.act_bytes / kv_shard if kv_shard != 1.0 else cost.act_bytes / shard
-        kc = KernelCost(
-            flops=flops,
-            bytes=w_bytes + a_bytes,
-            dtype=dtype if dtype is not None else self.quant.compute_dtype_name,
-            launches=cost.launches,
-        )
-        if cost.gemm_m > 0:
-            eff = gemm_efficiency(
-                cost.gemm_m, max(1.0, cost.gemm_n / shard), cost.gemm_k, self.hardware
-            )
+        gemm_m = cost.gemm_m
+        if isinstance(gemm_m, np.ndarray) or gemm_m > 0:
+            eff = self._gemm_eff(gemm_m, maximum(1.0, cost.gemm_n / shard),
+                                 cost.gemm_k)
         else:
             eff = None
-        return kernel_time(kc, self.hardware, efficiency=eff)
+        return roofline_time(
+            flops, w_bytes + a_bytes,
+            dtype if dtype is not None else self.quant.compute_dtype_name,
+            cost.launches, self.hardware, efficiency=eff,
+        )
 
     # ------------------------------------------------------------------ #
     # per-layer times
     # ------------------------------------------------------------------ #
 
-    def _attention_time(self, m: float, batch: float, kv_len: float,
-                        attended_len: float | None) -> float:
+    def _attention_time(self, m, batch, kv_len, attended_len):
         tp = self.plan.tp
         att = self.model.attention
         if att.kind is AttentionKind.MLA and self.mla_native:
@@ -184,7 +250,7 @@ class StepModel:
             kv_shard = float(min(tp, att.num_kv_heads))
         t = self._component_time(qkvo_cost(self.model, m, self.quant), shard=tp)
         # the attention core runs in half precision regardless of quant mode
-        t += self._component_time(
+        t = t + self._component_time(
             attention_core_cost(self.model, m, batch, kv_len, self.quant,
                                 attended_len, mla_native=self.mla_native),
             shard=tp,
@@ -192,16 +258,10 @@ class StepModel:
             dtype="fp16",
         )
         # rmsnorm + residual + rope elementwise traffic
-        ew = KernelCost(
-            flops=0.0,
-            bytes=8.0 * m * self.model.hidden_size * self.quant.activation_bytes / tp,
-            dtype="fp16",
-            launches=5,
-        )
-        t += kernel_time(ew, self.hardware)
-        return t
+        ew_bytes = 8.0 * m * self.model.hidden_size * self.quant.activation_bytes / tp
+        return t + roofline_time(0.0, ew_bytes, "fp16", 5, self.hardware)
 
-    def _moe_ffn_time(self, m: float) -> tuple[float, float, float]:
+    def _moe_ffn_time(self, m):
         """(router seconds, compute seconds incl. router, comm seconds) of
         one MoE layer's FFN block."""
         moe = self.model.moe
@@ -216,41 +276,112 @@ class StepModel:
             # mean assignments landing on one EP group; the all-to-all
             # barrier makes the step as slow as the *max*-loaded group, so
             # the whole expert phase is scaled by the multinomial imbalance
-            imbalance = expected_group_imbalance(ep, m * moe.top_k)
+            imbalance = per_element(
+                lambda assignments: expected_group_imbalance(ep, assignments),
+                m * moe.top_k)
             local_tokens = m / ep
             cost = routed_experts_cost(
                 self.model,
-                max(1.0, local_tokens),
+                maximum(1.0, local_tokens),
                 self.quant,
                 fused=self.fused_moe,
                 num_experts_resident=resident,
                 top_k=min(moe.top_k, resident),
             )
             # EP dispatch machinery: sort/scatter/gather across devices
-            cost = ComponentCost(
-                cost.name, cost.flops, cost.weight_bytes, cost.act_bytes,
-                cost.launches + 3, cost.gemm_m, cost.gemm_n, cost.gemm_k,
-            )
-            t += self._component_time(cost, shard=intra_tp) * imbalance
+            cost.launches += 3
+            t = t + self._component_time(cost, shard=intra_tp) * imbalance
         else:
             cost = routed_experts_cost(self.model, m, self.quant, fused=self.fused_moe)
-            t += self._component_time(cost, shard=tp)
+            t = t + self._component_time(cost, shard=tp)
 
-        t += self._component_time(shared_expert_cost(self.model, m, self.quant), shard=tp)
+        t = t + self._component_time(shared_expert_cost(self.model, m, self.quant), shard=tp)
 
         comm = 0.0
         if ep > 1:
             payload = (m * moe.top_k / ep) * self.model.hidden_size * self.quant.activation_bytes
-            comm += 2.0 * all_to_all_time(payload * ep, ep, self.hardware)
+            comm = comm + 2.0 * all_to_all_time(payload * ep, ep, self.hardware)
         return router_t, t, comm
 
-    def _dense_ffn_time(self, m: float) -> float:
+    def _dense_ffn_time(self, m):
         return self._component_time(
             dense_ffn_cost(self.model, m, self.quant), shard=self.plan.tp
         )
 
     # ------------------------------------------------------------------ #
-    # whole-step times
+    # the step evaluation
+    # ------------------------------------------------------------------ #
+
+    def _components(self, m, batch, kv_len, attended_len) -> StepComponents:
+        """Price one validated step shape: all Python floats, or all
+        float64 arrays of one length (never mixed)."""
+        model, hw, plan, quant = self.model, self.hardware, self.plan, self.quant
+
+        # every layer of one kind costs the same: price each kind once
+        # (lazily), then keep the per-layer repeated addition (n adds != mul)
+        attn_layer = self._attention_time(m, batch, kv_len, attended_len)
+        moe_layer = dense_layer = None
+        attn_time = moe_time = moe_comm = dense_time = router_time = 0.0
+        for is_moe in self._layer_is_moe:
+            attn_time = attn_time + attn_layer
+            if is_moe:
+                if moe_layer is None:
+                    moe_layer = self._moe_ffn_time(m)
+                r, t, c = moe_layer
+                router_time = router_time + r
+                moe_time = moe_time + t
+                moe_comm = moe_comm + c
+            else:
+                if dense_layer is None:
+                    dense_layer = self._dense_ffn_time(m)
+                dense_time = dense_time + dense_layer
+
+        # embeddings + final logits (decode & prefill both produce `batch`)
+        embedding = self._component_time(
+            embedding_cost(model, m, quant), shard=plan.tp)
+        lm_head = self._component_time(
+            lm_head_cost(model, batch, quant), shard=plan.tp)
+
+        # TP collectives: 2 ring all-reduces per layer over the token payload
+        comm = 0.0
+        if plan.tp > 1:
+            payload = m * model.hidden_size * quant.activation_bytes
+            n_ar = model.num_layers  # post-attention all-reduce
+            # post-FFN all-reduce only where the FFN is still TP-sharded
+            n_ar += (
+                model.num_dense_layers
+                + (model.num_moe_layers if plan.expert_shard_tp > 1 or plan.ep == 1 else 0)
+            )
+            comm = comm + n_ar * allreduce_time(payload, plan.tp, hw)
+        comm = comm + moe_comm
+
+        # PP: serial stage traversal, one p2p hop per boundary, plus the
+        # extra per-stage launch/sync overhead
+        pipeline = 0.0
+        if plan.pp > 1:
+            hop = p2p_time(m * model.hidden_size * quant.activation_bytes, hw)
+            pipeline = (plan.pp - 1) * (hop + hw.step_overhead_us * 1e-6 * 0.5)
+
+        overhead = (hw.step_overhead_us + batch * hw.per_seq_overhead_us) * 1e-6
+
+        # vision tower cost is charged by the caller per image, not per step
+        return StepComponents(attn_time, moe_time, dense_time, embedding,
+                              lm_head, comm, pipeline, overhead, router_time)
+
+    @staticmethod
+    def _point(num_tokens, batch, kv_len, attended_len):
+        """Validate one step shape and coerce it to Python floats."""
+        _check("num_tokens", num_tokens, positive=True)
+        _check("batch", batch, positive=True)
+        _check("kv_len", kv_len, positive=False)
+        kv = float(kv_len)
+        if attended_len is None:
+            return float(num_tokens), float(batch), kv, kv
+        _check("attended_len", attended_len, positive=False)
+        return float(num_tokens), float(batch), kv, float(attended_len)
+
+    # ------------------------------------------------------------------ #
+    # entry points
     # ------------------------------------------------------------------ #
 
     def step_breakdown(
@@ -267,22 +398,22 @@ class StepModel:
         ----------
         num_tokens:
             New tokens processed this step (prefill: ``batch * prompt_len``;
-            decode: ``batch``).
+            decode: ``batch``).  Finite and positive.
         batch:
-            Number of sequences in the step.
+            Number of sequences in the step.  Finite and positive.
         kv_len:
-            Context length whose KV cache is read per sequence.
+            Context length whose KV cache is read per sequence.  Finite and
+            non-negative.
         phase:
             ``"prefill"`` or ``"decode"`` (labelling + logits count).
+        attended_len:
+            Mean attended span per new token (default ``kv_len``).
 
         Results are memoized through :mod:`repro.perfmodel.stepcache`:
         repeated shapes return the *same* :class:`PhaseBreakdown` object,
         so callers must treat it as immutable (copy before editing).
+        Shapes are validated on a miss (an invalid shape is never cached).
         """
-        if phase not in ("prefill", "decode"):
-            raise ValueError(f"phase must be 'prefill' or 'decode', got {phase!r}")
-        if num_tokens <= 0 or batch <= 0:
-            raise ValueError("num_tokens and batch must be positive")
         cache = self._cache
         if not cache.enabled:
             return self._compute_step_breakdown(
@@ -303,67 +434,72 @@ class StepModel:
         phase: str,
         attended_len: float | None,
     ) -> PhaseBreakdown:
-        m = float(num_tokens)
-        hw, plan, quant = self.hardware, self.plan, self.quant
-        bd = PhaseBreakdown(phase=phase)
-
-        # every layer of one kind costs the same: price each kind once
-        # (lazily), then keep the per-layer repeated addition (n adds != mul)
-        attn_layer = self._attention_time(m, batch, kv_len, attended_len)
-        moe_layer = dense_layer = None
-        moe_time = moe_comm = dense_time = attn_time = router_time = 0.0
-        for _, is_moe in self.model.iter_layers():
-            attn_time += attn_layer
-            if is_moe:
-                if moe_layer is None:
-                    moe_layer = self._moe_ffn_time(m)
-                r, t, c = moe_layer
-                router_time += r
-                moe_time += t
-                moe_comm += c
-            else:
-                if dense_layer is None:
-                    dense_layer = self._dense_ffn_time(m)
-                dense_time += dense_layer
-        bd.add("attention", attn_time)
-        bd.add("moe_ffn", moe_time)
-        bd.add("dense_ffn", dense_time)
-        if router_time:
-            bd.subcomponents["router"] = router_time
-
-        # embeddings + final logits (decode & prefill both produce `batch`)
-        bd.add("embedding", self._component_time(
-            embedding_cost(self.model, m, quant), shard=plan.tp))
-        bd.add("lm_head", self._component_time(
-            lm_head_cost(self.model, batch, quant), shard=plan.tp))
-
-        # TP collectives: 2 ring all-reduces per layer over the token payload
-        if plan.tp > 1:
-            payload = m * self.model.hidden_size * quant.activation_bytes
-            n_ar = self.model.num_layers  # post-attention all-reduce
-            # post-FFN all-reduce only where the FFN is still TP-sharded
-            n_ar += (
-                self.model.num_dense_layers
-                + (self.model.num_moe_layers if plan.expert_shard_tp > 1 or plan.ep == 1 else 0)
-            )
-            bd.comm += n_ar * allreduce_time(payload, plan.tp, hw)
-        bd.comm += moe_comm
-
-        # PP: serial stage traversal, one p2p hop per boundary, plus the
-        # extra per-stage launch/sync overhead
-        if plan.pp > 1:
-            hop = p2p_time(m * self.model.hidden_size * quant.activation_bytes, hw)
-            bd.pipeline = (plan.pp - 1) * (hop + hw.step_overhead_us * 1e-6 * 0.5)
-
-        bd.overhead = (hw.step_overhead_us + batch * hw.per_seq_overhead_us) * 1e-6
-
-        # vision tower cost is charged by the caller per image, not per step
+        """:meth:`step_breakdown` without the step cache: a
+        :class:`PhaseBreakdown` view over one :meth:`_components` call."""
+        if phase not in ("prefill", "decode"):
+            raise ValueError(f"phase must be 'prefill' or 'decode', got {phase!r}")
+        c = self._components(*self._point(num_tokens, batch, kv_len, attended_len))
+        bd = PhaseBreakdown(
+            phase=phase,
+            components={"attention": c.attention, "moe_ffn": c.moe_ffn,
+                        "dense_ffn": c.dense_ffn, "embedding": c.embedding,
+                        "lm_head": c.lm_head},
+            comm=c.comm, pipeline=c.pipeline, overhead=c.overhead,
+        )
+        if c.router:
+            bd.subcomponents["router"] = c.router
         return bd
+
+    def step_total_one(self, num_tokens, batch, kv_len,
+                       attended_len=None) -> float:
+        """``step_breakdown(...).total`` of one shape, without building the
+        breakdown or touching the step cache (the engine fast path keeps
+        its own memo of these)."""
+        return self._components(
+            *self._point(num_tokens, batch, kv_len, attended_len)).total
+
+    def step_totals(self, num_tokens, batch, kv_len, attended_len=None) -> list[float]:
+        """``step_breakdown(...).total`` for an axis of step shapes.
+
+        Arguments are per-point sequences priced in one array pass;
+        ``attended_len=None`` attends to the whole context.  Returns Python
+        floats so downstream tables never see ``np.float64`` (its repr
+        would corrupt table digests).
+        """
+        m, b, kv = _axis(num_tokens), _axis(batch), _axis(kv_len)
+        _check("num_tokens", m, positive=True)
+        _check("batch", b, positive=True)
+        _check("kv_len", kv, positive=False)
+        if attended_len is None:
+            return self._axis_totals(m, b, kv, kv)
+        att = _axis(attended_len)
+        _check("attended_len", att, positive=False)
+        return self._axis_totals(m, b, kv, att)
+
+    def prefill_totals(self, batches, prompt_lens) -> list[float]:
+        """:meth:`prefill_time` for per-point ``(batch, prompt_len)`` pairs."""
+        b, p = _axis(batches), _axis(prompt_lens)
+        _check("batch", b, positive=True)
+        _check("prompt_len", p, positive=True)
+        return self._axis_totals(b * p, b, p, (p + 1) / 2.0)
+
+    def decode_totals(self, batches, context_lens) -> list[float]:
+        """:meth:`decode_step_time` for per-point ``(batch, context)`` pairs."""
+        b, c = _axis(batches), _axis(context_lens)
+        _check("batch", b, positive=True)
+        _check("context_len", c, positive=True)
+        return self._axis_totals(b, b, c, c)
+
+    def _axis_totals(self, m, batch, kv_len, attended_len) -> list[float]:
+        """Totals of validated float64 step-shape arrays, as Python floats."""
+        if not m.size:
+            return []
+        return self._components(m, batch, kv_len, attended_len).total.tolist()
 
     def prefill_time(self, batch: int, prompt_len: int) -> float:
         """Seconds to prefill ``batch`` prompts of ``prompt_len`` tokens."""
-        if prompt_len <= 0:
-            raise ValueError("prompt_len must be positive")
+        _check("batch", batch, positive=True)
+        _check("prompt_len", prompt_len, positive=True)
         bd = self.step_breakdown(
             num_tokens=batch * prompt_len,
             batch=batch,
@@ -375,8 +511,8 @@ class StepModel:
 
     def decode_step_time(self, batch: int, context_len: int) -> float:
         """Seconds for one decode step at the given per-sequence context."""
-        if context_len <= 0:
-            raise ValueError("context_len must be positive")
+        _check("batch", batch, positive=True)
+        _check("context_len", context_len, positive=True)
         bd = self.step_breakdown(
             num_tokens=batch, batch=batch, kv_len=context_len, phase="decode"
         )

@@ -113,8 +113,9 @@ class StepCache:
         self._setup_ids: dict[Hashable, int] = {}
         self.totals: dict[tuple, float] = {}
         """Step *total* seconds keyed ``(setup_id, shape...)`` — the engine
-        fast path's memo of :class:`VectorizedStepModel` evaluations.
-        Values are bit-identical to ``step_breakdown(...).total`` /
+        fast path's memo of ``StepModel.step_total_one`` evaluations
+        (totals without a breakdown).  Values are bit-identical to
+        ``step_breakdown(...).total`` /
         ``decode_step_time``, so sharing them across engines (fleet
         replicas share one perf model; sweep points share a setup id) only
         changes wallclock, never outputs.  Read directly in hot loops;

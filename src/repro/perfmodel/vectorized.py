@@ -1,451 +1,8 @@
-"""Vectorized evaluation of :class:`StepModel` across an axis of shapes.
+"""Former home of the array step model, now :class:`~repro.perfmodel.phases.StepModel` itself."""
 
-Sweeps evaluate hundreds of grid points against the *same* deployment;
-the roofline is closed-form in the step shape, so a whole axis of
-``(num_tokens, batch, kv_len)`` points can be priced as NumPy float64
-arrays in one pass instead of one Python call per point.
-
-**Bit-identity contract.** The fingerprint gate (PR 2) digests tables
-from ``repr()`` of every float, so the vectorized path must produce the
-*same bits* as the scalar path, not merely close values.  Three rules
-keep it exact:
-
-* every arithmetic expression mirrors the scalar code's operand order
-  and association (IEEE-754 ops on float64 arrays are elementwise
-  identical to the same ops on Python floats);
-* repeated accumulation stays repeated — the scalar path adds the same
-  per-layer time ``num_layers`` times, and ``n`` additions are *not* a
-  multiplication in floating point, so the array path loops the adds;
-* transcendental / non-elementwise terms (``**`` in expert coverage,
-  ``log``/``sqrt`` in group imbalance, the tile-quantisation floordiv)
-  go through the existing *scalar* functions per element — NumPy's
-  ufunc variants are not guaranteed to round identically.
-
-Only the exact :class:`StepModel` class is mirrored; subclasses override
-kernel-time methods (ablation variants), so :func:`supports` steers them
-back to the scalar path.
-"""
-
-from __future__ import annotations
-
-import numpy as np
-
-from repro.hardware.roofline import _M_HALF, _TILE
-from repro.models.config import AttentionKind
-from repro.models.params import attention_params
-from repro.perfmodel.flops import (
-    expected_expert_coverage,
-    expected_group_imbalance,
-)
 from repro.perfmodel.phases import StepModel
 
-__all__ = ["VectorizedStepModel", "supports"]
+# kept importable for the host-time benchmark harness (perfbench/tracing.py)
+VectorizedStepModel = StepModel
 
-_QUANT_DTYPES = ("fp8_e4m3", "int8", "int4")
-
-
-def supports(steps: StepModel) -> bool:
-    """Whether the vectorized mirror is valid for this step model.
-
-    Subclasses (e.g. the flat-efficiency ablation) override the scalar
-    kernel-time methods; mirroring the base-class math would silently
-    diverge, so they are excluded.
-    """
-    return type(steps) is StepModel
-
-
-def _tile_quant(d) -> float:
-    """Exact mirror of the tile-granularity penalty in
-    :func:`repro.hardware.roofline.gemm_efficiency` (Python scalar ops —
-    ``//`` on arrays is not guaranteed bit-identical)."""
-    tiles = -(-d // _TILE)
-    return d / (tiles * _TILE)
-
-
-# The per-layer mirrors below are polymorphic over float64 arrays (a whole
-# axis of shapes) and plain Python floats (the engine fast path's one-point
-# probes, where size-1 array dispatch overhead would dominate).  IEEE-754
-# ops on float64 arrays are elementwise identical to the same ops on
-# Python floats, and max/min select the same value as maximum/minimum on
-# the positive finite operands used here, so both input kinds produce the
-# same bits.  These three helpers absorb the only array-specific
-# constructs:
-
-def _zeros(x):
-    """``np.zeros_like`` for arrays, exact ``0.0`` for scalars."""
-    return np.zeros_like(x) if isinstance(x, np.ndarray) else 0.0
-
-
-def _maximum(a, b):
-    """Elementwise/scalar max (operands are finite and never -0.0)."""
-    return np.maximum(a, b) if isinstance(a, np.ndarray) or \
-        isinstance(b, np.ndarray) else max(a, b)
-
-
-def _minimum(a, b):
-    """Elementwise/scalar min (operands are finite and never -0.0)."""
-    return np.minimum(a, b) if isinstance(a, np.ndarray) or \
-        isinstance(b, np.ndarray) else min(a, b)
-
-
-def _map(fn, x):
-    """Per-element scalar helper application (coverage / imbalance terms
-    route through the exact scalar functions in both modes)."""
-    if isinstance(x, np.ndarray):
-        return np.array([fn(float(v)) for v in x])
-    return fn(float(x))
-
-
-class VectorizedStepModel:
-    """Array-at-a-time mirror of one :class:`StepModel`'s step costs."""
-
-    def __init__(self, steps: StepModel) -> None:
-        if not supports(steps):
-            raise TypeError(
-                f"vectorized path mirrors StepModel exactly; got "
-                f"{type(steps).__qualname__} (use the scalar path)"
-            )
-        self.steps = steps
-        self.model = steps.model
-        self.hw = steps.hardware
-        self.plan = steps.plan
-        self.quant = steps.quant
-
-    # ------------------------------------------------------------------ #
-    # roofline mirrors
-    # ------------------------------------------------------------------ #
-
-    def _gemm_eff(self, m, n, k):
-        """Mirror of ``gemm_efficiency`` — ``m`` (and possibly ``n``) may
-        be arrays; the tile terms go through the scalar helper."""
-        sat = m / (m + _M_HALF)
-        if isinstance(n, np.ndarray):
-            tq_n = np.array([_tile_quant(float(x)) for x in n])
-        else:
-            tq_n = _tile_quant(float(n))
-        gran = tq_n * _tile_quant(k)
-        return self.hw.max_gemm_efficiency * sat * gran
-
-    def _kernel_time(self, flops, bytes_, dtype, launches, eff):
-        """Mirror of ``kernel_time``; ``flops=None`` encodes the scalar
-        path's ``if cost.flops`` zero branch."""
-        hw = self.hw
-        if eff is None:
-            eff = hw.max_gemm_efficiency
-        if dtype in _QUANT_DTYPES:
-            eff = eff * hw.quant_gemm_derate
-        t_compute = 0.0 if flops is None else flops / (hw.peak_flops_per_s(dtype) * eff)
-        t_memory = bytes_ / hw.mem_bytes_per_s
-        launch = launches * hw.kernel_launch_us * 1e-6
-        return _maximum(t_compute, t_memory) + launch
-
-    def _component_time(self, flops, w_bytes, a_bytes, launches, gemm,
-                        shard=1.0, kv_shard=1.0, dtype=None):
-        """Mirror of ``StepModel._component_time``.  ``gemm`` is ``None``
-        or ``(m, n, k)``; zero-cost components are skipped by callers
-        (the scalar zero-guard never fires for a live component)."""
-        flops = None if flops is None else flops / shard
-        w = w_bytes / shard
-        if self.quant.weights.is_quantized:
-            w = w / self.hw.quant_mem_derate
-        a = a_bytes / kv_shard if kv_shard != 1.0 else a_bytes / shard
-        if gemm is not None:
-            gm, gn, gk = gemm
-            gn = gn / shard
-            gn = _maximum(1.0, gn)
-            eff = self._gemm_eff(gm, gn, gk)
-        else:
-            eff = None
-        if dtype is None:
-            dtype = self.quant.compute_dtype_name
-        return self._kernel_time(flops, w + a, dtype, launches, eff)
-
-    # ------------------------------------------------------------------ #
-    # per-layer mirrors (arguments are float64 arrays over the axis)
-    # ------------------------------------------------------------------ #
-
-    def _attention_time(self, m, batch, kv_len, attended_len):
-        tp = self.plan.tp
-        att = self.model.attention
-        quant = self.quant
-        h = self.model.hidden_size
-        if att.kind is AttentionKind.MLA and self.steps.mla_native:
-            kv_shard = 1.0
-        else:
-            kv_shard = float(min(tp, att.num_kv_heads))
-
-        n_params = attention_params(att, h)
-        t = self._component_time(
-            2.0 * m * n_params,
-            n_params * quant.weight_bytes,
-            8.0 * m * h * quant.activation_bytes,
-            launches=4, gemm=(m, n_params / h, h), shard=tp,
-        )
-
-        # attention core (attention_core_cost): sliding window bounds both
-        # the resident KV and the attended span; per-element Python `min`
-        # mirrored with np.minimum on identical operands
-        if att.sliding_window > 0:
-            kv_len = _minimum(kv_len, float(att.sliding_window))
-            attended_len = _minimum(attended_len, float(att.sliding_window))
-        if att.kind is AttentionKind.MLA:
-            d_qk = att.qk_nope_head_dim + att.qk_rope_head_dim
-            d_v = att.v_head_dim
-        else:
-            d_qk = d_v = att.head_dim
-        entries = att.kv_entries_per_token(self.steps.mla_native)
-        flops = 2.0 * m * att.num_heads * attended_len * (d_qk + d_v)
-        kv_read = batch * kv_len * entries * quant.kv_bytes
-        kv_write = m * entries * quant.kv_bytes
-        a_bytes = 2.0 * m * h * quant.activation_bytes
-        t = t + self._component_time(
-            flops, 0.0, kv_read + kv_write + a_bytes,
-            launches=1, gemm=(m, attended_len, d_qk),
-            shard=tp, kv_shard=kv_shard, dtype="fp16",
-        )
-
-        # rmsnorm + residual + rope elementwise traffic
-        ew_bytes = 8.0 * m * h * quant.activation_bytes / tp
-        t = t + self._kernel_time(None, ew_bytes, "fp16", 5, None)
-        return t
-
-    def _moe_ffn_time(self, m):
-        """(router, compute incl. router, comm) arrays for one MoE layer."""
-        moe = self.model.moe
-        assert moe is not None
-        quant = self.quant
-        tp, ep = self.plan.tp, self.plan.ep
-        intra_tp = self.plan.expert_shard_tp
-        h = self.model.hidden_size
-        e = moe.num_experts
-
-        router_t = self._component_time(
-            2.0 * m * h * e,
-            h * e * quant.weight_bytes,
-            m * (h + e) * quant.activation_bytes,
-            launches=2, gemm=(m, e, h), shard=1.0,
-        )
-        t = router_t
-
-        if ep > 1:
-            resident = moe.num_experts // ep
-            imbalance = _map(
-                lambda x: expected_group_imbalance(ep, x), m * moe.top_k)
-            local_tokens = m / ep
-            m_eff = _maximum(1.0, local_tokens)
-            t_exp = self._routed_experts_time(
-                m_eff, e=resident, k=min(moe.top_k, resident),
-                extra_launches=3, shard=intra_tp,
-            )
-            t = t + t_exp * imbalance
-        else:
-            t_exp = self._routed_experts_time(
-                m, e=moe.num_experts, k=moe.top_k, extra_launches=0, shard=tp,
-            )
-            t = t + t_exp
-
-        # shared experts: zero-cost when absent (scalar adds exact 0.0)
-        if moe.num_shared_experts > 0:
-            f_total = moe.num_shared_experts * moe.shared_expert_ffn_dim
-            n_mats = 3 if moe.gated else 2
-            n_params = n_mats * h * f_total
-            t = t + self._component_time(
-                2.0 * m * n_params,
-                n_params * quant.weight_bytes,
-                (2.0 * m * h + 2.0 * m * f_total) * quant.activation_bytes,
-                launches=n_mats, gemm=(m, f_total, h), shard=tp,
-            )
-
-        comm = _zeros(m)
-        if ep > 1:
-            payload = (m * moe.top_k / ep) * h * quant.activation_bytes
-            comm = comm + 2.0 * self._all_to_all(payload * ep, ep)
-        return router_t, t, comm
-
-    def _routed_experts_time(self, m, e, k, extra_launches, shard):
-        """Mirror of ``routed_experts_cost`` + ``_component_time`` (with
-        the EP path's ``launches + 3`` rebuild folded in)."""
-        moe = self.model.moe
-        quant = self.quant
-        h, f = self.model.hidden_size, moe.expert_ffn_dim
-        n_mats = 3 if moe.gated else 2
-        per_expert = n_mats * h * f
-        coverage = _map(lambda x: expected_expert_coverage(e, min(k, e), x), m)
-        flops = 2.0 * m * k * per_expert
-        w_bytes = coverage * per_expert * quant.weight_bytes
-        a_bytes = (2.0 * m * h + 2.0 * m * k * h + 2.0 * m * k * f) * quant.activation_bytes
-        if self.steps.fused_moe:
-            launches = 3
-        else:
-            launches = e + 2
-            a_bytes = a_bytes * 2.0
-            w_bytes = w_bytes * 1.15
-        tokens_per_expert = m * k / _maximum(coverage, 1.0)
-        return self._component_time(
-            flops, w_bytes, a_bytes, launches + extra_launches,
-            gemm=(tokens_per_expert, f, h), shard=shard,
-        )
-
-    def _dense_ffn_time(self, m):
-        h, f = self.model.hidden_size, self.model.dense_ffn_dim
-        if f == 0:
-            return _zeros(m)
-        quant = self.quant
-        n_params = 3 * h * f
-        return self._component_time(
-            2.0 * m * n_params,
-            n_params * quant.weight_bytes,
-            (2.0 * m * h + 2.0 * m * f) * quant.activation_bytes,
-            launches=3, gemm=(m, f, h), shard=self.plan.tp,
-        )
-
-    # ------------------------------------------------------------------ #
-    # interconnect mirrors (n > 1 and payload > 0 guaranteed by callers)
-    # ------------------------------------------------------------------ #
-
-    def _link(self):
-        link = self.hw.interconnect
-        if link is None:
-            raise ValueError(f"{self.hw.name} has no interconnect configured")
-        return link
-
-    def _allreduce(self, msg, n):
-        link = self._link()
-        volume = 2.0 * (n - 1) / n * msg
-        return volume / (link.link_bandwidth_gbps * 1e9) + 2 * (n - 1) * link.latency_us * 1e-6
-
-    def _all_to_all(self, msg, n):
-        link = self._link()
-        volume = (n - 1) / n * msg
-        return volume / (link.link_bandwidth_gbps * 1e9) + (n - 1) * link.latency_us * 1e-6
-
-    def _p2p(self, msg):
-        link = self._link()
-        return msg / (link.link_bandwidth_gbps * 1e9) + link.latency_us * 1e-6
-
-    # ------------------------------------------------------------------ #
-    # whole-step mirrors
-    # ------------------------------------------------------------------ #
-
-    def step_totals(self, num_tokens, batch, kv_len, attended_len=None) -> list[float]:
-        """``step_breakdown(...).total`` for an axis of step shapes.
-
-        Arguments are per-point sequences; ``attended_len=None`` mirrors
-        the scalar default (attend to the whole context).  Returns Python
-        floats so downstream tables never see ``np.float64`` (its repr
-        would corrupt table digests).
-        """
-        m = np.asarray(num_tokens, dtype=np.float64)
-        b = np.asarray(batch, dtype=np.float64)
-        kv = np.asarray(kv_len, dtype=np.float64)
-        att = kv if attended_len is None else np.asarray(attended_len, dtype=np.float64)
-        if m.size and (m.min() <= 0 or b.min() <= 0):
-            raise ValueError("num_tokens and batch must be positive")
-        total = self._total(m, b, kv, att)
-        return [float(x) for x in total]
-
-    def step_total_one(self, num_tokens, batch, kv_len,
-                       attended_len=None) -> float:
-        """One step's total seconds through the same polymorphic mirrors,
-        on Python floats — the engine fast path's point probe, where the
-        array entry's size-1 dispatch overhead would dominate.  Same bits
-        as ``step_totals([...])[0]`` (see the helper-function note)."""
-        m = float(num_tokens)
-        b = float(batch)
-        kv = float(kv_len)
-        att = kv if attended_len is None else float(attended_len)
-        if m <= 0 or b <= 0:
-            raise ValueError("num_tokens and batch must be positive")
-        return float(self._total(m, b, kv, att))
-
-    def _total(self, m, b, kv, att):
-        """Shared step-total core; inputs are all-float64-arrays or
-        all-Python-floats (never mixed)."""
-        model, plan, hw, quant = self.model, self.plan, self.hw, self.quant
-        attn_layer = self._attention_time(m, b, kv, att)
-        moe_layer = None
-        dense_layer = None
-
-        # per-layer accumulation stays repeated addition (n adds != mul)
-        attn_time = _zeros(m)
-        moe_time = _zeros(m)
-        moe_comm = _zeros(m)
-        dense_time = _zeros(m)
-        for _, is_moe in model.iter_layers():
-            attn_time = attn_time + attn_layer
-            if is_moe:
-                if moe_layer is None:
-                    moe_layer = self._moe_ffn_time(m)
-                _, t, c = moe_layer
-                moe_time = moe_time + t
-                moe_comm = moe_comm + c
-            else:
-                if dense_layer is None:
-                    dense_layer = self._dense_ffn_time(m)
-                dense_time = dense_time + dense_layer
-
-        embedding = self._component_time(
-            None, 0.0, 2.0 * m * model.hidden_size * quant.activation_bytes,
-            launches=1, gemm=None, shard=plan.tp,
-        )
-        h, v = model.hidden_size, model.vocab_size
-        lm_head = self._component_time(
-            2.0 * b * h * v,
-            h * v * quant.weight_bytes,
-            b * (h + v) * quant.activation_bytes,
-            launches=2, gemm=(b, v, h), shard=plan.tp,
-        )
-
-        comm = _zeros(m)
-        if plan.tp > 1:
-            payload = m * model.hidden_size * quant.activation_bytes
-            n_ar = model.num_layers
-            n_ar += (
-                model.num_dense_layers
-                + (model.num_moe_layers if plan.expert_shard_tp > 1 or plan.ep == 1 else 0)
-            )
-            comm = comm + n_ar * self._allreduce(payload, plan.tp)
-        comm = comm + moe_comm
-
-        if plan.pp > 1:
-            hop = self._p2p(m * model.hidden_size * quant.activation_bytes)
-            pipeline = (plan.pp - 1) * (hop + hw.step_overhead_us * 1e-6 * 0.5)
-        else:
-            pipeline = _zeros(m)
-
-        overhead = (hw.step_overhead_us + b * hw.per_seq_overhead_us) * 1e-6
-
-        # sum(components.values()) + comm + pipeline + overhead, in the
-        # exact insertion/addition order of PhaseBreakdown.total
-        total = 0 + attn_time
-        total = total + moe_time
-        total = total + dense_time
-        total = total + embedding
-        total = total + lm_head
-        total = total + comm
-        total = total + pipeline
-        total = total + overhead
-        return total
-
-    def prefill_totals(self, batches, prompt_lens) -> list[float]:
-        """``prefill_time`` for per-point ``(batch, prompt_len)`` pairs."""
-        batches = list(batches)
-        prompt_lens = list(prompt_lens)
-        if any(p <= 0 for p in prompt_lens):
-            raise ValueError("prompt_len must be positive")
-        return self.step_totals(
-            num_tokens=[b * p for b, p in zip(batches, prompt_lens)],
-            batch=batches,
-            kv_len=prompt_lens,
-            attended_len=[(p + 1) / 2.0 for p in prompt_lens],
-        )
-
-    def decode_totals(self, batches, context_lens) -> list[float]:
-        """``decode_step_time`` for per-point ``(batch, context)`` pairs."""
-        batches = list(batches)
-        context_lens = list(context_lens)
-        if any(c <= 0 for c in context_lens):
-            raise ValueError("context_len must be positive")
-        return self.step_totals(
-            num_tokens=batches, batch=batches, kv_len=context_lens,
-        )
+__all__ = ["VectorizedStepModel"]

@@ -20,8 +20,8 @@ experiments out across worker processes.  The determinism contract:
   become the tail of the pool; it cannot affect results, only speedup.
 
 Workers inherit ``os.environ`` (fork or spawn), so escape hatches such
-as ``REPRO_NO_VECTORIZE`` / ``REPRO_NO_STEPCACHE`` exported by the CLI
-apply to every process in the pool.
+as ``REPRO_NO_VECTORIZE_ENGINE`` / ``REPRO_NO_STEPCACHE`` exported by the
+CLI apply to every process in the pool.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
-"""PAR0xx rules: scalar <-> vectorized fast-path parity.
+"""PAR0xx rules: scalar engine <-> decode-window replay parity.
 
-The acceptance scenario lives here: a deliberate one-sided edit to a
-vectorized cost expression (on a throwaway copy of the repo's parity
-surface) must fail PAR001 against the committed LINT_PARITY.json.
+The acceptance scenario lives here: a deliberate one-sided edit to the
+decode window's replay of the scalar iteration (on a throwaway copy of
+the repo's parity surface) must fail PAR001 against the committed
+LINT_PARITY.json.
 """
 
 import ast
@@ -27,9 +28,12 @@ REPO = pathlib.Path(__file__).resolve().parents[1]
 PARITY_FILES = sorted({spec.scalar[0] for spec in PAIRS}
                       | {spec.vector[0] for spec in PAIRS})
 
-#: unique anchors used to fake a coefficient edit on each side
-VECTOR_ANCHOR = "launch = launches * hw.kernel_launch_us * 1e-6"
-SCALAR_ANCHOR = "return max(t_compute, t_memory) + cost.launches * hw.kernel_launch_us * 1e-6"
+#: unique anchors used to fake a coefficient edit on each side of the
+#: engine_decode_durations pair (the decode context floor)
+VECTOR_ANCHOR = "contexts = [max(1, int((kv_sum + j * batch) / batch))"
+SCALAR_ANCHOR = "ctx = max(1, int(mean_ctx))"
+_VECTOR_FILE = "src/repro/serving/fastpath.py"
+_SCALAR_FILE = "src/repro/serving/engine.py"
 
 
 def _fn(src: str) -> ast.FunctionDef:
@@ -115,35 +119,35 @@ class TestSnapshotParity:
 
     def test_one_sided_vectorized_edit_fails(self, tmp_path):
         root = _copy_parity_surface(tmp_path)
-        _edit(root, "src/repro/perfmodel/vectorized.py",
-              VECTOR_ANCHOR, VECTOR_ANCHOR.replace("1e-6", "2e-6"))
+        _edit(root, _VECTOR_FILE,
+              VECTOR_ANCHOR, VECTOR_ANCHOR.replace("max(1,", "max(2,"))
         vs = _par001(root)
-        assert [v.snippet for v in vs] == ["kernel_time:vector:one-sided"]
+        assert [v.snippet for v in vs] == ["engine_decode_durations:vector:one-sided"]
         assert "one-sided fast-path edit" in vs[0].message
         assert "--update-parity" in vs[0].message
 
     def test_one_sided_scalar_edit_fails(self, tmp_path):
         root = _copy_parity_surface(tmp_path)
-        _edit(root, "src/repro/hardware/roofline.py",
-              SCALAR_ANCHOR, SCALAR_ANCHOR.replace("1e-6", "2e-6"))
+        _edit(root, _SCALAR_FILE,
+              SCALAR_ANCHOR, SCALAR_ANCHOR.replace("max(1,", "max(2,"))
         vs = _par001(root)
-        assert [v.snippet for v in vs] == ["kernel_time:scalar:one-sided"]
+        assert [v.snippet for v in vs] == ["engine_decode_durations:scalar:one-sided"]
 
     def test_paired_edit_reported_for_rerecord(self, tmp_path):
         root = _copy_parity_surface(tmp_path)
-        _edit(root, "src/repro/perfmodel/vectorized.py",
-              VECTOR_ANCHOR, VECTOR_ANCHOR.replace("1e-6", "2e-6"))
-        _edit(root, "src/repro/hardware/roofline.py",
-              SCALAR_ANCHOR, SCALAR_ANCHOR.replace("1e-6", "2e-6"))
+        _edit(root, _VECTOR_FILE,
+              VECTOR_ANCHOR, VECTOR_ANCHOR.replace("max(1,", "max(2,"))
+        _edit(root, _SCALAR_FILE,
+              SCALAR_ANCHOR, SCALAR_ANCHOR.replace("max(1,", "max(2,"))
         vs = _par001(root)
-        assert [v.snippet for v in vs] == ["kernel_time:paired"]
+        assert [v.snippet for v in vs] == ["engine_decode_durations:paired"]
 
     def test_update_parity_clears_the_drift(self, tmp_path):
         root = _copy_parity_surface(tmp_path)
-        _edit(root, "src/repro/perfmodel/vectorized.py",
-              VECTOR_ANCHOR, VECTOR_ANCHOR.replace("1e-6", "2e-6"))
-        _edit(root, "src/repro/hardware/roofline.py",
-              SCALAR_ANCHOR, SCALAR_ANCHOR.replace("1e-6", "2e-6"))
+        _edit(root, _VECTOR_FILE,
+              VECTOR_ANCHOR, VECTOR_ANCHOR.replace("max(1,", "max(2,"))
+        _edit(root, _SCALAR_FILE,
+              SCALAR_ANCHOR, SCALAR_ANCHOR.replace("max(1,", "max(2,"))
         update_manifest(root)
         assert _par001(root) == []
 
@@ -156,22 +160,22 @@ class TestSnapshotParity:
 
 class TestLiteralMirror:
     def _mini_pair(self, tmp_path, scalar_coeff: str, vector_coeff: str):
-        phases = tmp_path / "src/repro/perfmodel/phases.py"
-        phases.parent.mkdir(parents=True, exist_ok=True)
-        phases.write_text(textwrap.dedent(f"""
-            class StepModel:
-                def _attention_time(self, x):
+        engine = tmp_path / _SCALAR_FILE
+        engine.parent.mkdir(parents=True, exist_ok=True)
+        engine.write_text(textwrap.dedent(f"""
+            class ServingEngine:
+                def _iteration_cost(self, x):
                     return {scalar_coeff} * x
         """))
-        (tmp_path / "src/repro/perfmodel/vectorized.py").write_text(
+        (tmp_path / _VECTOR_FILE).write_text(
             textwrap.dedent(f"""
-            class VectorizedStepModel:
-                def _attention_time(self, x):
+            class EngineFastPath:
+                def _window_durations(self, x):
                     return {vector_coeff} * x
         """))
         project = LintProject(tmp_path)
         return [v for v in get_rule("PAR002").run(project)
-                if v.snippet.startswith("attention:")]
+                if v.snippet.startswith("engine_decode_durations:")]
 
     def test_one_sided_coefficient_caught(self, tmp_path):
         vs = self._mini_pair(tmp_path, "2.0", "3.0")
@@ -182,8 +186,8 @@ class TestLiteralMirror:
         assert self._mini_pair(tmp_path, "2.0", "2.0") == []
 
     def test_repeated_constant_across_branches_allowed(self, tmp_path):
-        # array code legitimately repeats a constant (scalar/ndarray
-        # branches); only *distinct* vector-side values must mirror
+        # fast-path code legitimately repeats a constant across
+        # branches; only *distinct* fast-path values must mirror
         assert self._mini_pair(tmp_path, "2.0", "2.0 + x * 2.0 - 2.0") == []
 
     def test_repo_is_literal_clean(self):

@@ -1,6 +1,6 @@
 """PAR1xx rules: auto-discovered parity coverage.
 
-The acceptance scenario lives here: adding a new vectorized mirror to a
+The acceptance scenario lives here: adding a new fast-path mirror to a
 throwaway copy of the parity surface — without registering a PairSpec —
 must fail the coverage gate (PAR101 when a scalar twin exists, PAR102
 when nothing watches the new function at all).
@@ -59,7 +59,7 @@ class TestCurrentCoverage:
     def test_repo_surface_is_fully_covered(self):
         project = LintProject(REPO)
         entries = discover(project)
-        assert entries, "vectorized surface not found"
+        assert entries, "fast-path surface not found"
         bad = [e for e in entries
                if e["status"] in ("unregistered", "unwatched")]
         assert bad == []
@@ -86,14 +86,14 @@ class TestUnregisteredMirror:
     def test_new_vectorized_mirror_without_pairspec_fails(self, tmp_path):
         root = _copy_surface(tmp_path)
         # scalar flops.py has embedding_cost -> mirror key "embedding"
-        _append(root, "src/repro/perfmodel/vectorized.py", (
+        _append(root, "src/repro/serving/fastpath.py", (
             "\n\ndef _embedding_time(model, hw):\n"
             "    return 2.0 * model.d_model\n"))
         vs = _run(root, "PAR101")
         assert [v.rule for v in vs] == ["PAR101"]
         assert "_embedding_time" in vs[0].message
         assert "embedding_cost" in vs[0].message
-        assert vs[0].path == "src/repro/perfmodel/vectorized.py"
+        assert vs[0].path == "src/repro/serving/fastpath.py"
 
     def test_registered_surface_stays_clean(self, tmp_path):
         root = _copy_surface(tmp_path)

@@ -224,3 +224,56 @@ class TestLayerInvariantPricing:
                     plan.tp, H100_SXM)
             comm += ref["moe_comm"]
             assert bd.comm == comm
+
+
+_BAD_VALUES = [float("nan"), float("inf"), float("-inf"), -1.0]
+
+
+class TestBoundaryValidation:
+    """Every entry rejects a non-finite or out-of-range step shape with a
+    ``ValueError`` naming the argument (NaN used to price as NaN, and a
+    negative context priced silently through the one-point entry)."""
+
+    @pytest.mark.parametrize("bad", _BAD_VALUES, ids=repr)
+    @pytest.mark.parametrize("arg", ["num_tokens", "batch", "kv_len",
+                                     "attended_len"])
+    def test_point_and_breakdown_entries(self, olmoe_steps, arg, bad):
+        shape = {"num_tokens": 4, "batch": 4, "kv_len": 128,
+                 "attended_len": 64.5, arg: bad}
+        with pytest.raises(ValueError, match=arg):
+            olmoe_steps.step_total_one(**shape)
+        with pytest.raises(ValueError, match=arg):
+            olmoe_steps.step_breakdown(phase="prefill", **shape)
+
+    @pytest.mark.parametrize("bad", _BAD_VALUES, ids=repr)
+    @pytest.mark.parametrize("arg", ["num_tokens", "batch", "kv_len",
+                                     "attended_len"])
+    def test_array_entry(self, olmoe_steps, arg, bad):
+        shape = {"num_tokens": [4, 8], "batch": [4, 8], "kv_len": [128, 256],
+                 "attended_len": [64.5, 128.5]}
+        shape[arg] = [shape[arg][0], bad]
+        with pytest.raises(ValueError, match=arg):
+            olmoe_steps.step_totals(**shape)
+
+    @pytest.mark.parametrize("bad", _BAD_VALUES, ids=repr)
+    @pytest.mark.parametrize("arg", ["batch", "prompt_len"])
+    def test_prefill_time(self, olmoe_steps, arg, bad):
+        shape = {"batch": 4, "prompt_len": 128, arg: bad}
+        with pytest.raises(ValueError, match=arg):
+            olmoe_steps.prefill_time(**shape)
+        with pytest.raises(ValueError, match="prompt_len"):
+            olmoe_steps.prefill_totals([4], [bad])
+
+    @pytest.mark.parametrize("bad", _BAD_VALUES, ids=repr)
+    @pytest.mark.parametrize("arg", ["batch", "context_len"])
+    def test_decode_step_time(self, olmoe_steps, arg, bad):
+        shape = {"batch": 4, "context_len": 128, arg: bad}
+        with pytest.raises(ValueError, match=arg):
+            olmoe_steps.decode_step_time(**shape)
+        with pytest.raises(ValueError, match="context_len"):
+            olmoe_steps.decode_totals([4], [bad])
+
+    def test_zero_context_is_valid(self, olmoe_steps):
+        # kv_len / attended_len are non-negative, not positive
+        assert olmoe_steps.step_total_one(4, 4, 0) > 0
+        assert olmoe_steps.step_totals([4], [4], [0], [0.0])[0] > 0

@@ -1,20 +1,20 @@
-"""Exact-equivalence tests for the vectorized sweep fast path."""
+"""Exact-equivalence tests for the array entry of the step model.
+
+``metrics_rows`` prices a sweep through ``StepModel``'s array entry in one
+pass; ``metrics_row`` walks the same shapes one point at a time through
+``prefill_time`` / ``decode_step_time``.  Both reach the single step
+evaluation, so every float must agree bit for bit.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments.common import (
-    metrics_row,
-    metrics_rows,
-    perf_model,
-    vectorize_enabled,
-)
+from repro.experiments.common import metrics_row, metrics_rows, perf_model
 from repro.hardware.gpus import H100_SXM
 from repro.models.zoo import get_model
 from repro.optim.quantization import FP8_CONFIG
 from repro.parallel.plan import ParallelPlan
-from repro.perfmodel import vectorized as vec
 from repro.perfmodel.inference import InferencePerfModel
 from repro.perfmodel.phases import StepModel
 
@@ -73,53 +73,35 @@ class TestExactEquivalence:
     ])
     def test_step_total_one_matches_scalar_and_batched(self, model):
         """The engine fast path's one-point entry must agree bit-for-bit
-        with both the scalar perf model and the batched array pass over
-        the same shapes (the polymorphic helpers dispatch float vs array,
+        with both the breakdown entry and the batched array pass over
+        the same shapes (the elementwise helpers dispatch float vs array,
         but every arithmetic op is the same IEEE-754 operation)."""
         steps = StepModel(get_model(model), H100_SXM)
-        v = vec.VectorizedStepModel(steps)
         shapes = [(1, 1, 1, None), (8, 8, 512, None), (64, 64, 4096, None),
                   (256, 4, 256, 128.5), (2048, 16, 2048, 1024.5)]
         for m, b, kv, att in shapes:
-            one = v.step_total_one(m, b, kv, att)
+            one = steps.step_total_one(m, b, kv, att)
             assert type(one) is float
-            batched = v.step_totals([m], [b], [kv],
-                                    None if att is None else [att])[0]
+            batched = steps.step_totals([m], [b], [kv],
+                                        None if att is None else [att])[0]
             assert one == batched
             if att is None and m == b:
                 assert one == steps.decode_step_time(b, kv)
             else:
-                scalar = steps.step_breakdown(
+                breakdown = steps.step_breakdown(
                     num_tokens=m, batch=b, kv_len=kv, phase="prefill",
                     attended_len=att if att is not None else kv).total
-                assert one == scalar
+                assert one == breakdown
 
     def test_step_total_one_validates(self):
-        v = vec.VectorizedStepModel(
-            StepModel(get_model("OLMoE-1B-7B"), H100_SXM))
+        steps = StepModel(get_model("OLMoE-1B-7B"), H100_SXM)
         with pytest.raises(ValueError):
-            v.step_total_one(0, 1, 64)
+            steps.step_total_one(0, 1, 64)
         with pytest.raises(ValueError):
-            v.step_total_one(1, 0, 64)
+            steps.step_total_one(1, 0, 64)
 
 
 class TestFallbacks:
-    def test_escape_hatch_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_VECTORIZE", "1")
-        assert not vectorize_enabled()
-        pm = perf_model(get_model("OLMoE-1B-7B"))
-        rows = metrics_rows(pm, SHAPES)
-        assert rows == [metrics_row(pm, b, i, o) for b, i, o in SHAPES]
-
-    def test_subclass_not_supported(self):
-        class Custom(StepModel):
-            pass
-
-        custom = Custom(get_model("OLMoE-1B-7B"), H100_SXM)
-        assert not vec.supports(custom)
-        with pytest.raises(TypeError):
-            vec.VectorizedStepModel(custom)
-
     def test_instrumented_model_uses_scalar_path(self):
         from repro.obs.instrument import Instrumentation
 
@@ -130,7 +112,7 @@ class TestFallbacks:
         metrics_rows(pm, shapes)
         evals = [m for m in obs.metrics.snapshot()["metrics"]
                  if m["name"] == "perfmodel_evaluations_total"]
-        assert evals  # the scalar path kept the eval counters alive
+        assert evals  # the per-point path kept the eval counters alive
 
     def test_vectorized_returns_python_floats(self):
         # np.float64 leaking into tables would corrupt repr()-based digests
