@@ -19,7 +19,7 @@ twin with no fingerprint watching.  These rules close the gap by
   entry is a PAR102 error — new fast-path code cannot land unwatched.
 
 ``PARITY_IGNORE`` is the explicit, reasoned allowlist for fast-path
-helpers that genuinely have no scalar mirror (feature probes).  Dunders
+helpers that genuinely have no scalar mirror (the step-pricing memo).  Dunders
 are skipped — construction is not a cost expression.
 """
 
@@ -51,8 +51,10 @@ SCALAR_FILES = (
 
 #: (path, qualname) -> why this fast-path function has no scalar mirror
 PARITY_IGNORE: dict[tuple[str, str], str] = {
-    ("src/repro/serving/fastpath.py", "engine_vectorize_enabled"):
-        "feature flag probe — no arithmetic to mirror",
+    ("src/repro/serving/fastpath.py", "EngineFastPath.step_total"):
+        "the engine's only step-pricing entry, scalar and windowed alike: "
+        "a memo over StepModel.step_total_one, whose bits the step golden "
+        "pins to step_breakdown().total — no engine-side twin remains",
 }
 
 #: trailing name tokens that are bookkeeping, not identity

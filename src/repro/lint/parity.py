@@ -90,13 +90,6 @@ PAIRS: tuple[PairSpec, ...] = (
                        (_FASTPATH, "EngineFastPath._plan")),
     ),
     PairSpec(
-        "engine_step_total",
-        (_ENGINE, "ServingEngine._step_total"),
-        (_FASTPATH, "EngineFastPath.step_total"),
-        vector_inline=((_FASTPATH, "EngineFastPath._plan"),
-                       (_FASTPATH, "EngineFastPath._put")),
-    ),
-    PairSpec(
         "engine_decode_durations",
         (_ENGINE, "ServingEngine._iteration_cost"),
         (_FASTPATH, "EngineFastPath._window_durations"),

@@ -13,7 +13,7 @@ fingerprint gate holds this to exact equality.
 
 Cached breakdowns are shared between callers and MUST NOT be mutated;
 consumers that edit component dicts (e.g. the fault injector) take a copy
-first (see ``ServingEngine._components_of``).
+first (see ``ServingEngine._step_components``).
 
 Setups are interned to small integer ids at :class:`StepModel`
 construction so the per-lookup key is a cheap flat tuple — the frozen
@@ -118,8 +118,8 @@ class StepCache:
         ``step_breakdown(...).total`` /
         ``decode_step_time``, so sharing them across engines (fleet
         replicas share one perf model; sweep points share a setup id) only
-        changes wallclock, never outputs.  Read directly in hot loops;
-        insert through :meth:`total_put` for the entry bound."""
+        changes wallclock, never outputs.  Read and filled directly in hot
+        loops, with the same wholesale clear at the entry bound."""
         self.decode_plans: dict[tuple[int, int], dict[int, float]] = {}
         """Decode-step seconds as ``(setup_id, batch) -> {context: s}`` —
         the nesting keeps the engine fast path's per-iteration probes on
@@ -161,13 +161,6 @@ class StepCache:
             self._entries.clear()
             self.stats.clears += 1
         self._entries[key] = breakdown
-
-    def total_put(self, key: tuple, total: float) -> None:
-        """Bounded insert into :attr:`totals` (same deterministic wholesale
-        clear as the breakdown table)."""
-        if len(self.totals) >= self.max_entries:
-            self.totals.clear()
-        self.totals[key] = total
 
     # ------------------------------------------------------------------ #
     # management

@@ -28,12 +28,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.instrument import Instrumentation
 from repro.perfmodel.inference import InferencePerfModel
 from repro.serving.events import Event, EventLog, EventType
-from repro.serving.fastpath import EngineFastPath, engine_vectorize_enabled
+from repro.serving.fastpath import EngineFastPath
 from repro.serving.kv_cache import DEFAULT_BLOCK_SIZE, PagedKVCache
 from repro.serving.request import Request, RequestState, SamplingParams
 from repro.serving.scheduler import ScheduledBatch, Scheduler, SchedulerConfig
 
 __all__ = ["ServingResult", "ServingEngine", "serve_static_batch"]
+
+StepShape = tuple[float, float, float, float | None]
+"""A perf-model step shape ``(num_tokens, batch, kv_len, attended_len)``."""
 
 
 def _admission_time(request: Request) -> float:
@@ -315,14 +318,14 @@ class ServingEngine:
         self._stepcache_at_start = (stats.hits, stats.misses)
         """Step-cache counter snapshot; ``run()`` reports the run's own
         hit/miss delta through the metrics registry."""
-        self.fastpath = EngineFastPath(self) if engine_vectorize_enabled() \
-            else None
-        """Batched decode-window advance (phase-2 fast path), or ``None``
-        under ``REPRO_NO_VECTORIZE_ENGINE``.  Bit-identical to repeated
-        ``step()`` calls by construction; it additionally falls back
-        per-window whenever instrumentation is active, a fault schedule
-        is armed, or the next iteration is not a quiet decode step (see
-        :mod:`repro.serving.fastpath`)."""
+        self.fastpath = EngineFastPath(self)
+        """Memoized step pricing (every iteration's duration comes from
+        :meth:`EngineFastPath.step_total`) and the batched decode-window
+        advance.  Windows are bit-identical to repeated ``step()`` calls
+        by construction, instrumented or not; they are off under
+        ``REPRO_NO_VECTORIZE_ENGINE`` and fall back per window whenever a
+        fault schedule is armed or the next iteration is not a quiet
+        decode step (see :mod:`repro.serving.fastpath`)."""
 
     def _active_obs(self) -> "Instrumentation | None":
         obs = self.obs
@@ -404,16 +407,13 @@ class ServingEngine:
             self.scheduler.add_request(req)
 
     def _iteration_cost(
-        self, batch: ScheduledBatch, want_components: bool = False
-    ) -> tuple[float, dict[str, float] | None,
-               tuple[float, float, float, float | None]]:
-        """Duration of one iteration, optionally with its per-component
-        decomposition (profiler spans), plus the perf-model step shape
-        ``(num_tokens, batch, kv_len, attended_len)`` so cluster telemetry
-        can re-derive link bytes and sparse/dense costs from the exact
-        step that advanced the clock.  The duration is computed through
-        the exact same perf-model calls either way, so enabling components
-        cannot perturb simulated results."""
+            self, batch: ScheduledBatch) -> tuple[float, float, StepShape]:
+        """Duration of one iteration, its vision-encoder share, and the
+        perf-model step shape ``(num_tokens, batch, kv_len, attended_len)``
+        so observers and fault pricing can re-derive components, link
+        bytes and sparse/dense costs from the exact step that advanced
+        the clock.  The step itself is priced once, through the memoized
+        :meth:`EngineFastPath.step_total`."""
         reqs = batch.requests
         if batch.phase == "prefill":
             # exact np.mean replay: the pairwise float64 sum of integer
@@ -421,70 +421,39 @@ class ServingEngine:
             # division is the same correctly-rounded float64 op
             mean_ctx = sum(r.kv_tokens + self.scheduler._prefill_tokens_for(r)
                            for r in reqs) / len(reqs)
-            shape = (float(batch.num_tokens), float(batch.batch_size),
-                     mean_ctx, (mean_ctx + 1) / 2.0)
-            if not want_components:
-                t = self._step_total(batch.num_tokens, batch.batch_size,
-                                     mean_ctx, "prefill", (mean_ctx + 1) / 2.0)
-                images = sum(r.num_images for r in reqs)
-                if images:
-                    t += self.perf.steps.vision_encode_time(images)
-                return t, None, shape
-            bd = self.perf.steps.step_breakdown(
-                num_tokens=batch.num_tokens,
-                batch=batch.batch_size,
-                kv_len=mean_ctx,
-                phase="prefill",
-                attended_len=(mean_ctx + 1) / 2.0,
-            )
-            t = bd.total
+            attended = (mean_ctx + 1) / 2.0
+            t = self.fastpath.step_total(batch.num_tokens, batch.batch_size,
+                                         mean_ctx, "prefill", attended)
             vision = 0.0
             images = sum(r.num_images for r in reqs)
             if images:
                 vision = self.perf.steps.vision_encode_time(images)
                 t += vision
-            return t, self._components_of(bd, vision), shape
+            return t, vision, (float(batch.num_tokens),
+                               float(batch.batch_size), mean_ctx, attended)
         mean_ctx = sum(r.kv_tokens for r in reqs) / len(reqs)
         ctx = max(1, int(mean_ctx))
-        shape = (float(batch.batch_size), float(batch.batch_size),
-                 float(ctx), None)
-        if not want_components:
-            return (self._step_total(batch.batch_size, batch.batch_size,
-                                     ctx, "decode"), None, shape)
-        # decode_step_time is step_breakdown().total — same floats, but the
-        # breakdown is kept so the profiler can attribute the step
-        bd = self.perf.steps.step_breakdown(
-            num_tokens=batch.batch_size, batch=batch.batch_size,
-            kv_len=ctx, phase="decode",
-        )
-        return bd.total, self._components_of(bd, 0.0), shape
+        return (self.fastpath.step_total(batch.batch_size, batch.batch_size,
+                                         ctx, "decode"), 0.0,
+                (float(batch.batch_size), float(batch.batch_size),
+                 float(ctx), None))
 
-    def _step_total(self, num_tokens: int, batch: int, kv_len: float,
-                    phase: str, attended_len: float | None = None) -> float:
-        """One iteration's total seconds without the component breakdown:
-        through the fast path's totals memo when it is attached, else the
-        perf-model call through the step cache (same bits either way)."""
-        fastpath = self.fastpath
-        if fastpath is not None:
-            return fastpath.step_total(num_tokens, batch, kv_len, phase,
-                                       attended_len)
-        if phase == "decode":
-            return self.perf.steps.decode_step_time(batch, kv_len)
-        return self.perf.steps.step_breakdown(
-            num_tokens=num_tokens, batch=batch, kv_len=kv_len,
-            phase=phase, attended_len=attended_len,
-        ).total
-
-    @staticmethod
-    def _components_of(bd, vision: float) -> dict[str, float]:
-        """Profiler component taxonomy from a :class:`PhaseBreakdown`:
-        the router is carved out of the expert FFN, collectives map to
-        ``interconnect``; zero components are dropped.
+    def _step_components(self, phase: str, shape: StepShape,
+                         vision: float) -> dict[str, float]:
+        """Profiler components of the step at ``shape``, from one
+        step-cache ``step_breakdown`` lookup (whose total is the duration
+        :meth:`_iteration_cost` priced): the router is carved out of the
+        expert FFN, collectives map to ``interconnect``; zero components
+        are dropped.
 
         The taxonomy of a breakdown never changes, and step-cached
         breakdowns recur across iterations, so the vision-free dict is
-        built once and memoized on ``bd``.  Callers get a fresh copy each
-        time because the fault injector scales components in place."""
+        built once and memoized on the breakdown.  Callers get a fresh
+        copy each time because the fault injector scales components in
+        place."""
+        num_tokens, batch, kv_len, attended_len = shape
+        bd = self.perf.steps.step_breakdown(num_tokens, batch, kv_len, phase,
+                                            attended_len)
         comps = bd.__dict__.get("_serving_components")
         if comps is None:
             router = bd.subcomponents.get("router", 0.0)
@@ -510,11 +479,11 @@ class ServingEngine:
         """Advance a run of pure decode iterations in one batched pass,
         bounded by ``horizon`` (an iteration starts only while
         ``clock < horizon``; the last one may overshoot, exactly like a
-        scalar iteration).  Returns the iterations advanced; 0 means the
-        next iteration needs the scalar :meth:`step` — admission, prefill,
-        completion, preemption, faults, or instrumentation."""
-        if self.fastpath is None:
-            return 0
+        scalar iteration).  Instrumented engines take the same windows and
+        observe every iteration in them.  Returns the iterations advanced;
+        0 means the next iteration needs the scalar :meth:`step` —
+        admission, prefill, completion, preemption, faults — or windows
+        are off (``REPRO_NO_VECTORIZE_ENGINE``)."""
         return self.fastpath.decode_window(horizon)
 
     def step(self) -> bool:
@@ -535,16 +504,11 @@ class ServingEngine:
 
         obs = self._active_obs()
         if obs is not None:
-            obs.now = self.clock
-            obs.tracer.begin("engine.step", self.clock, cat="engine",
-                             iteration=self.log.num_iterations)
-            obs.tracer.begin("scheduler.schedule", self.clock, cat="scheduler")
+            self._observe_step_begin(obs)
         batch = self.scheduler.schedule()
         if obs is not None:
-            obs.tracer.end(self.clock, phase=batch.phase,
-                           batch_size=batch.batch_size,
-                           num_tokens=batch.num_tokens,
-                           preempted=len(batch.preempted))
+            self._observe_schedule(obs, batch.phase, batch.batch_size,
+                                   batch.num_tokens, len(batch.preempted))
         if batch.is_empty:
             if batch.preempted:
                 self.log.record(Event(
@@ -563,31 +527,20 @@ class ServingEngine:
                 return True
             raise RuntimeError("scheduler starved with no pending arrivals")
 
-        if obs is not None:
-            obs.tracer.begin("perfmodel.iteration_cost", self.clock,
-                             cat="perfmodel")
-        duration_s, components, step_shape = self._iteration_cost(
-            batch,
-            want_components=obs is not None
-            or (faults is not None and faults.needs_components),
-        )
-        if faults is not None:
+        duration_s, vision, step_shape = self._iteration_cost(batch)
+        components = None
+        if faults is not None and faults.needs_components:
             # price degraded links / lost devices / reduced top-k through
-            # the component breakdown (no-op while the cluster is healthy)
+            # the component breakdown (scaled in place)
+            components = self._step_components(batch.phase, step_shape,
+                                               vision)
             duration_s = faults.adjust(duration_s, components)
         t_start = self.clock
-        if obs is not None:
-            obs.tracer.end(self.clock, phase=batch.phase, seconds=duration_s)
         self.clock += duration_s
         if obs is not None:
-            obs.now = self.clock
-            obs.tracer.begin(f"engine.{batch.phase}", t_start, cat=batch.phase,
-                             batch_size=batch.batch_size,
-                             num_tokens=batch.num_tokens,
-                             kv_utilization=round(self.kv.utilization, 4))
-            if components:
-                self._emit_component_spans(obs, batch.phase, components,
-                                           t_start)
+            components = self._observe_advance(
+                obs, batch.phase, batch.requests, batch.num_tokens,
+                t_start, duration_s, components, step_shape, vision)
 
         if batch.preempted:
             self.log.record(Event(
@@ -629,9 +582,6 @@ class ServingEngine:
             for req in batch.requests:
                 req.generated_tokens += 1
                 req.kv_tokens += 1
-                if obs is not None and obs.reqtrace is not None:
-                    obs.reqtrace.on_decode(req, t_start, self.clock,
-                                           batch_size=batch.batch_size)
                 if self._is_done(req):
                     finished.append(req)
             self.log.record(Event(
@@ -642,8 +592,8 @@ class ServingEngine:
             ))
             self._complete(finished)
         if obs is not None:
-            self._observe_iteration(obs, batch, duration_s, components,
-                                    step_shape)
+            self._observe_iteration(obs, batch.phase, batch.num_tokens,
+                                    duration_s, components, step_shape)
         return True
 
     def _resolve_starvation(self, faults: "FaultInjector",
@@ -685,6 +635,51 @@ class ServingEngine:
             return True
         return False
 
+    def _observe_step_begin(self, obs: "Instrumentation") -> None:
+        """Open the iteration's ``engine.step`` and ``scheduler.schedule``
+        spans at the pre-iteration clock."""
+        obs.now = self.clock
+        obs.tracer.begin("engine.step", self.clock, cat="engine",
+                         iteration=self.log.num_iterations)
+        obs.tracer.begin("scheduler.schedule", self.clock, cat="scheduler")
+
+    def _observe_schedule(self, obs: "Instrumentation", phase: str,
+                          batch_size: int, num_tokens: int,
+                          preempted: int) -> None:
+        """Close ``scheduler.schedule`` with the batch it produced."""
+        obs.tracer.end(self.clock, phase=phase, batch_size=batch_size,
+                       num_tokens=num_tokens, preempted=preempted)
+
+    def _observe_advance(
+        self, obs: "Instrumentation", phase: str, requests: list[Request],
+        num_tokens: int, t_start: float, duration_s: float,
+        components: dict[str, float] | None, shape: StepShape,
+        vision: float,
+    ) -> dict[str, float]:
+        """Observe the iteration that advanced the clock from ``t_start``:
+        its pricing span, the opening of its phase span, its component
+        spans and, for decode, each request's token.  ``components`` are
+        the fault-adjusted ones when fault pricing needed them; otherwise
+        they come from one :meth:`_step_components` lookup.  Returns
+        them."""
+        tracer = obs.tracer
+        tracer.begin("perfmodel.iteration_cost", t_start, cat="perfmodel")
+        tracer.end(t_start, phase=phase, seconds=duration_s)
+        obs.now = self.clock
+        batch_size = len(requests)
+        tracer.begin(f"engine.{phase}", t_start, cat=phase,
+                     batch_size=batch_size, num_tokens=num_tokens,
+                     kv_utilization=round(self.kv.utilization, 4))
+        if components is None:
+            components = self._step_components(phase, shape, vision)
+        if components:
+            self._emit_component_spans(obs, phase, components, t_start)
+        if phase == "decode" and obs.reqtrace is not None:
+            for req in requests:
+                obs.reqtrace.on_decode(req, t_start, self.clock,
+                                       batch_size=batch_size)
+        return components
+
     def _emit_component_spans(self, obs: "Instrumentation", phase: str,
                               components: dict[str, float],
                               t_start: float) -> None:
@@ -706,9 +701,9 @@ class ServingEngine:
         tracer.end(self.clock, track="components")
 
     def _observe_iteration(
-        self, obs: "Instrumentation", batch: ScheduledBatch,
-        duration_s: float, components: dict[str, float] | None = None,
-        step_shape: tuple[float, float, float, float | None] | None = None,
+        self, obs: "Instrumentation", phase: str, num_tokens: int,
+        duration_s: float, components: dict[str, float],
+        step_shape: StepShape,
     ) -> None:
         """Close the phase/step spans and update per-iteration metrics."""
         tracer = obs.tracer
@@ -719,25 +714,25 @@ class ServingEngine:
         tracer.counter("scheduler_queues", self.clock,
                        {"running": self.scheduler.num_running,
                         "waiting": len(self.scheduler.waiting)})
-        phase = {"phase": batch.phase}
+        labels = {"phase": phase}
         obs.metrics.counter(
-            "engine_iterations_total", "engine iterations", labels=phase
+            "engine_iterations_total", "engine iterations", labels=labels
         ).inc()
         obs.metrics.counter(
-            "tokens_processed_total", "new tokens processed", labels=phase
-        ).inc(batch.num_tokens)
+            "tokens_processed_total", "new tokens processed", labels=labels
+        ).inc(num_tokens)
         obs.metrics.histogram(
-            "step_time_seconds", "simulated iteration duration", labels=phase
+            "step_time_seconds", "simulated iteration duration", labels=labels
         ).observe(duration_s)
         if obs.routing is not None:
-            obs.routing.on_tokens(batch.num_tokens)
-        if obs.cluster is not None and step_shape is not None:
+            obs.routing.on_tokens(num_tokens)
+        if obs.cluster is not None:
             # after the routing probe, so heat windows closing at this
             # iteration's end include its routed tokens
-            num_tokens, batch_size, kv_len, attended_len = step_shape
+            shape_tokens, batch_size, kv_len, attended_len = step_shape
             obs.cluster.on_iteration(
-                self.clock - duration_s, self.clock, components or {},
-                phase=batch.phase, num_tokens=num_tokens, batch=batch_size,
+                self.clock - duration_s, self.clock, components,
+                phase=phase, num_tokens=shape_tokens, batch=batch_size,
                 kv_len=kv_len, attended_len=attended_len)
         if obs.alerts is not None:
             obs.alerts.on_iteration(self)

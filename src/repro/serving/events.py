@@ -78,22 +78,6 @@ class EventLog:
         self.events.append(event)
         self._index(event)
 
-    def extend(self, batch: list[Event]) -> None:
-        """Append a time-ordered batch in one call (the engine fast path
-        records a whole decode window at once).  Only the batch head is
-        checked against the log tail; within-batch order is the caller's
-        contract (the window clock is monotone by construction)."""
-        if not batch:
-            return
-        if self.events and batch[0].time < self.events[-1].time - 1e-12:
-            raise ValueError(
-                f"events must be recorded in time order: {batch[0].time} < "
-                f"{self.events[-1].time}"
-            )
-        self.events.extend(batch)
-        for event in batch:
-            self._index(event)
-
     def of_type(self, event_type: EventType) -> list[Event]:
         return list(self._by_type[event_type])
 

@@ -51,10 +51,9 @@ would be "quiet"; anything else returns 0 and the caller runs the plain
 ``step()``.  The window refuses to start (or breaks) when:
 
 * ``REPRO_NO_VECTORIZE_ENGINE`` is set (checked once at engine
-  construction — see ``ServingEngine.fastpath``);
-* instrumentation is active (spans, metrics and step-cache gauges must
-  see every iteration) or a fault schedule is armed (faults advance on
-  the scalar clock and may perturb durations);
+  construction; pricing still goes through :meth:`EngineFastPath.step_total`);
+* a fault schedule is armed (faults advance on the scalar clock and may
+  perturb durations);
 * the waiting queue is non-empty (the next iteration may prefill) or a
   pending arrival is due at or before the current clock;
 * any running request samples EOS (``eos_probability > 0`` without
@@ -63,6 +62,13 @@ would be "quiet"; anything else returns 0 and the caller runs the plain
 * the next iteration would finish a request (windows stop one iteration
   short of the earliest ``max_tokens`` completion) or needs more KV
   blocks than are available (the preemption decision stays scalar).
+
+**Observation** does not change which iterations a window takes.  Each
+window iteration commits ``engine.clock``, ``obs.now`` and its log event
+as it runs and is observed through the helpers ``step()`` uses, so alert
+rules and flight-recorder bundles see the scalar path's clock, KV
+utilization, log prefix and trace tail.  Request token counters and
+block-table fills commit once, at the window's end.
 
 A window bounded by a fleet horizon resumes on the next
 ``Replica.advance_to`` with every remaining duration already in the
@@ -81,18 +87,11 @@ from repro.serving.events import Event, EventType
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serving.engine import ServingEngine
 
-__all__ = ["EngineFastPath", "engine_vectorize_enabled"]
+__all__ = ["EngineFastPath"]
 
 _MAX_WINDOW = 4096
 """Iterations priced per array pass (bounds plan memory; windows longer
 than this simply split, resuming against the warmed decode memo)."""
-
-
-def engine_vectorize_enabled() -> bool:
-    """Whether the batched decode window is enabled (the escape hatch is
-    ``REPRO_NO_VECTORIZE_ENGINE=1``, which replays every iteration through
-    the scalar ``step()``)."""
-    return os.environ.get("REPRO_NO_VECTORIZE_ENGINE", "") in ("", "0")
 
 
 class EngineFastPath:
@@ -122,16 +121,12 @@ class EngineFastPath:
         alone (the setup id is fixed per engine), so hot probes skip the
         outer tuple key."""
         self._sid = steps.setup_id
+        self.windows = os.environ.get("REPRO_NO_VECTORIZE_ENGINE",
+                                      "") in ("", "0")
+        """Whether :meth:`decode_window` may advance windows: off under the
+        ``REPRO_NO_VECTORIZE_ENGINE=1`` escape hatch, read once here."""
 
     # ------------------------------------------------------------------ #
-
-    def _put(self, key: tuple, total: float) -> None:
-        """Bounded memo insert (deterministic wholesale clear, matching the
-        step cache's eviction discipline)."""
-        memo = self._totals
-        if len(memo) >= self._cache.max_entries:
-            memo.clear()
-        memo[key] = total
 
     def _plan(self, batch: int) -> dict[int, float]:
         """The shared ``{context: seconds}`` decode memo for ``batch``."""
@@ -160,17 +155,21 @@ class EngineFastPath:
                 plan[kv_len] = total
             return total
         key = (self._sid, num_tokens, batch, kv_len, attended_len)
-        total = self._totals.get(key)
+        memo = self._totals
+        total = memo.get(key)
         if total is None:
             total = self.steps.step_total_one(
                 num_tokens, batch, kv_len, attended_len)
-            self._put(key, total)
+            if len(memo) >= self._cache.max_entries:
+                memo.clear()  # the step cache's wholesale eviction
+            memo[key] = total
         return total
 
     def _window_durations(self, batch: int, kv_sum: int,
-                          limit: int) -> list[float]:
-        """Per-iteration decode durations for a window of ``limit`` steps
-        starting from total context ``kv_sum`` over ``batch`` sequences.
+                          limit: int) -> tuple[list[int], list[float]]:
+        """Per-iteration decode contexts and durations for a window of
+        ``limit`` steps starting from total context ``kv_sum`` over
+        ``batch`` sequences.
 
         Iteration ``j`` (0-based) prices at context
         ``max(1, int((kv_sum + j * batch) / batch))`` — the exact value
@@ -187,7 +186,7 @@ class EngineFastPath:
             totals = self.steps.decode_totals([batch] * len(missing), missing)
             for c, t in zip(missing, totals):
                 plan[c] = t
-        return [plan[contexts[j]] for j in range(limit)]
+        return contexts, [plan[contexts[j]] for j in range(limit)]
 
     def decode_window(self, horizon: float) -> int:
         """Advance as many pure decode iterations as possible, bounded by
@@ -197,7 +196,7 @@ class EngineFastPath:
         advanced; 0 means the scalar ``step()`` must take the next one.
         State is untouched whenever 0 is returned."""
         engine = self.engine
-        if engine._active_obs() is not None:
+        if not self.windows:
             return 0
         if engine.faults is not None and engine.faults.active:
             return 0
@@ -247,14 +246,14 @@ class EngineFastPath:
         crossings.sort()
         total_pops = len(crossings)
 
-        durations = self._window_durations(batch, kv_sum, limit)
+        contexts, durations = self._window_durations(batch, kv_sum, limit)
         request_ids = tuple(r.request_id for r in running)
         num_blocks = kv.num_blocks
         free = kv.free_blocks
         available = kv.available_blocks
-        events: list[Event] = []
-        record = events.append
+        record = engine.log.record
         decode = EventType.DECODE
+        obs = engine._active_obs()
         pop_at = 0
         done = 0
         while done < limit:
@@ -271,16 +270,31 @@ class EngineFastPath:
                     break  # pool dry: the preemption decision stays scalar
                 for k in range(pops):
                     kv.append_block(tables[crossings[pop_at + k][1]])
-                pop_at += pops
-                free -= pops
-                available -= pops
+            if obs is not None:
+                engine._observe_step_begin(obs)
+                kv.observe_appends(request_ids, {
+                    i for _, i in crossings[pop_at:pop_at + pops]})
+                engine._observe_schedule(obs, "decode", batch, batch, 0)
+            pop_at += pops
+            free -= pops
+            available -= pops
             duration_s = durations[done]
+            t_start = clock
             clock = clock + duration_s
+            engine.clock = clock
             record(Event(
                 clock, decode, request_ids,
                 num_tokens=batch, duration_s=duration_s,
                 kv_utilization=(num_blocks - free) / num_blocks,
             ))
+            if obs is not None:
+                shape = (float(batch), float(batch), float(contexts[done]),
+                         None)
+                components = engine._observe_advance(
+                    obs, "decode", running, batch, t_start, duration_s,
+                    None, shape, 0.0)
+                engine._observe_iteration(obs, "decode", batch, duration_s,
+                                          components, shape)
             done += 1
 
         if not done:
@@ -290,6 +304,4 @@ class EngineFastPath:
             req.kv_tokens += done
         for table in tables:
             table.num_tokens += done
-        engine.clock = clock
-        engine.log.extend(events)
         return done

@@ -267,6 +267,15 @@ class PagedKVCache:
         checks, ``num_tokens`` bookkeeping and observability."""
         table.blocks.append(self._take_free_block())
 
+    def observe_appends(self, seq_ids: tuple[int, ...],
+                        grown: set[int]) -> None:
+        """Observe one decode step whose slots the caller grew itself: one
+        ``append`` per sequence in ``seq_ids`` order, with ``blocks`` 1 for
+        the positions in ``grown`` (popped through :meth:`append_block`)
+        and 0 otherwise — what :meth:`try_append_slot` emits per call."""
+        for i, seq_id in enumerate(seq_ids):
+            self._observe("append", seq_id, 1 if i in grown else 0)
+
     def free(self, seq_id: int) -> None:
         """Return a sequence's blocks to the pool."""
         table = self._tables.pop(seq_id, None)

@@ -58,28 +58,6 @@ class TestEventLogIndices:
         assert log.num_iterations == 3
         assert log.total_busy_time() == pytest.approx(0.2)
 
-    def test_extend_records_batch_and_updates_indices(self):
-        log = EventLog()
-        log.record(ev(0.0, EventType.PREFILL, duration_s=0.1))
-        log.extend([ev(0.2, EventType.DECODE, duration_s=0.05,
-                       kv_utilization=0.6),
-                    ev(0.3, EventType.DECODE, duration_s=0.05)])
-        assert log.count(EventType.DECODE) == 2
-        assert log.num_iterations == 3
-        assert log.total_busy_time() == pytest.approx(0.2)
-        assert log.peak_kv_utilization() == pytest.approx(0.6)
-
-    def test_extend_rejects_out_of_order_batch_head(self):
-        log = EventLog()
-        log.record(ev(1.0))
-        with pytest.raises(ValueError, match="time order"):
-            log.extend([ev(0.5)])
-
-    def test_extend_empty_batch_is_noop(self):
-        log = EventLog()
-        log.extend([])
-        assert log.events == []
-
     def test_of_type_since_is_a_cursor_tail(self):
         log = EventLog()
         log.record(ev(0.0, EventType.DECODE))
