@@ -25,8 +25,8 @@ Usage::
     repro fleet [--replicas N] [--policy round_robin|least_kv|prefix_affinity]
     repro fleet [--requests N] [--seed N] [--no-storm] [--no-autoscale]
     repro fleet --smoke
-    repro lint [--check] [--rules DET,UNIT,PAR,REG] [--json]
-    repro lint --update-parity | --update-baseline | --list-rules
+    repro lint [--check] [--rules DET,UNIT,OBS,REG,SUP] [--json]
+    repro lint --update-baseline | --list-rules
 
 (``repro`` and ``moe-inference-bench`` are the same entry point.)
 
@@ -62,8 +62,8 @@ determinism gate).  ``bench`` maintains the
 (non-zero exit on ``--check`` failure); ``profile`` attributes a run's
 simulated time per phase × component and writes a folded-stack file for
 flamegraph tooling.  ``lint`` statically proves the simulator's
-invariants (determinism, unit consistency, engine decode-window replay
-parity, registry drift) — the review-time complement to the dynamic
+invariants (determinism, unit consistency, observability conventions,
+registry drift) — the review-time complement to the dynamic
 gates.  See ``docs/observability.md``, ``docs/regression.md`` and
 ``docs/lint.md``.
 """

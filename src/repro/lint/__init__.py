@@ -1,16 +1,18 @@
 """repro.lint — static analysis that proves the simulator's invariants.
 
-Four rule families, all AST-based (nothing executes):
+Five rule families, all AST-based (nothing executes):
 
-* **DET0xx** determinism: no wall clocks, unseeded RNG, or set-order
-  iteration outside the wall channel (bit-identical fingerprints);
-* **UNIT0xx** unit consistency: suffix-inferred dimensional analysis of
-  the roofline arithmetic in ``repro.perfmodel`` / ``repro.hardware``;
-* **PAR0xx** fast-path parity: the scalar engine iteration and the
-  batched decode-window replay must change together (snapshot + literal
-  mirroring);
-* **REG0xx** registry drift: experiments ↔ BENCH baselines ↔
-  EXPERIMENTS.md ↔ CLI surface.
+* **DET** determinism: no wall clocks, unseeded RNG, or set-order
+  iteration outside the wall channel (bit-identical fingerprints), in
+  one function (DET0xx) and along the call graph (DET1xx);
+* **UNIT** unit consistency: suffix-inferred dimensional analysis of
+  the roofline arithmetic in ``repro.perfmodel`` / ``repro.hardware``,
+  in one function (UNIT0xx) and across calls (UNIT1xx);
+* **OBS** observability conventions: unit-suffixed metric names and
+  simulated-clock span timestamps;
+* **REG** registry drift: experiments ↔ BENCH baselines ↔
+  EXPERIMENTS.md ↔ CLI surface;
+* **SUP** stale ``# simlint: disable=`` suppressions.
 
 Entry points: ``repro lint`` (CLI, the CI gate) and :func:`run_lint`
 (programmatic).  See ``docs/lint.md``.

@@ -5,7 +5,7 @@ was last (re-)recorded; ``repro lint --check`` fails only on violations
 *not* in the baseline, so a new rule can land before every legacy finding
 is fixed — mirroring how ``repro bench --check`` gates fingerprint drift
 against its recorded trajectories.  The repo's baseline is kept empty:
-every finding the four rule families raised has been fixed or given a
+every finding the rule families raised has been fixed or given a
 reviewed inline suppression.
 """
 

@@ -15,7 +15,6 @@ from repro.lint.baseline import Baseline
 from repro.lint.core import LintProject, run_lint, select_rules
 from repro.lint.flow import engine as flow_engine
 from repro.lint.flow.graph import to_dot, to_json_doc
-from repro.lint.parity import update_manifest
 from repro.lint.reporters import render_json, render_rule_catalog, render_text
 
 __all__ = ["add_lint_parser", "cmd_lint"]
@@ -28,13 +27,13 @@ def add_lint_parser(sub: "argparse._SubParsersAction") -> None:
     p = sub.add_parser(
         "lint",
         help="statically prove the simulator's invariants "
-             "(determinism, units, fast-path parity, registry drift)",
+             "(determinism, units, observability, registry drift)",
     )
     p.add_argument("--root", default=".",
                    help="repository root (default: current directory)")
     p.add_argument("--rules",
                    help="comma-separated rule ids or prefixes "
-                        "(e.g. DET,UNIT001,PAR); default: all")
+                        "(e.g. DET,UNIT001,REG); default: all")
     p.add_argument("--check", action="store_true",
                    help="gate mode: fail only on violations not in the "
                         "committed baseline (LINT_BASELINE.json)")
@@ -45,9 +44,6 @@ def add_lint_parser(sub: "argparse._SubParsersAction") -> None:
                    help="baseline file (default: <root>/LINT_BASELINE.json)")
     p.add_argument("--update-baseline", action="store_true",
                    help="re-record the baseline from the current findings")
-    p.add_argument("--update-parity", action="store_true",
-                   help="re-record the engine decode-window parity snapshot "
-                        "(LINT_PARITY.json) after a verified paired edit")
     p.add_argument("--list-rules", action="store_true",
                    help="print the rule catalog and exit")
     p.add_argument("--graph", action="store_true",
@@ -90,12 +86,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         else:
             print(text, end="")
         return 0
-
-    if args.update_parity:
-        path = update_manifest(root)
-        print(f"[recorded] parity snapshot -> {path}")
-        if not (args.check or args.update_baseline):
-            return 0
 
     try:
         rules = select_rules(args.rules)

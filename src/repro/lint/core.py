@@ -2,8 +2,8 @@
 
 ``repro.lint`` proves the simulator's review-time invariants statically:
 determinism (no wall clocks or unseeded RNG outside the wall channel),
-dimensional consistency of the roofline arithmetic, engine decode-window
-replay parity, and experiment-registry drift.  Rules are AST-based and
+dimensional consistency of the roofline arithmetic, observability
+conventions, and experiment-registry drift.  Rules are AST-based and
 run over the committed source only — no experiment needs to execute.
 
 Vocabulary
@@ -149,8 +149,8 @@ class LintProject:
     """The lintable universe: parsed sources plus repo-root artifacts.
 
     ``root`` is the repository root (where ``BENCH_*.json``,
-    ``EXPERIMENTS.md`` and the lint baseline/parity manifests live);
-    sources are collected from ``root/src/repro`` by default.
+    ``EXPERIMENTS.md`` and the lint baseline live); sources are
+    collected from ``root/src/repro`` by default.
     """
 
     def __init__(self, root: pathlib.Path,
@@ -283,12 +283,11 @@ def _ensure_loaded() -> None:
     from repro.lint import (  # noqa: F401
         determinism,
         obs,
-        parity,
         registry,
         suppressions,
         units,
     )
-    from repro.lint.flow import coverage, taint, unitflow  # noqa: F401
+    from repro.lint.flow import taint, unitflow  # noqa: F401
 
 
 def all_rules() -> list[Rule]:
@@ -307,7 +306,7 @@ def get_rule(rule_id: str) -> Rule:
 
 def select_rules(spec: str | None) -> list[Rule]:
     """Rules matching a comma-separated spec of ids or id prefixes
-    (``DET``, ``UNIT001,PAR``...); ``None`` selects everything."""
+    (``DET``, ``UNIT001,REG``...); ``None`` selects everything."""
     rules = all_rules()
     if not spec:
         return rules

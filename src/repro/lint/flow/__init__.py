@@ -1,10 +1,10 @@
 """repro.lint.flow — whole-program interprocedural analysis.
 
-Where the PR-5 rule families pattern-match inside one function, this
+Where the DET0xx / UNIT0xx rules pattern-match inside one function, this
 package builds a project-wide **symbol table** and **call graph** over
 ``src/repro`` (resolving ``self.method``, imported names, instance-attr
 and local-variable receiver types, and registry indirections like
-``@experiment``), then runs three analyses on it:
+``@experiment``), then runs two analyses on it:
 
 * **DET1xx determinism taint** (:mod:`repro.lint.flow.taint`) —
   wall-clock reads, unseeded RNG and set-order iteration are *sources*;
@@ -18,12 +18,6 @@ and local-variable receiver types, and registry indirections like
   signatures and returns, so units are checked at call boundaries
   (argument vs parameter suffix, returned unit vs use-site arithmetic)
   instead of going silent at the first call.
-* **PAR1xx parity coverage** (:mod:`repro.lint.flow.coverage`) —
-  scalar-engine ↔ fast-path mirror candidates are auto-discovered by name
-  heuristics over the fast-path modules, and every candidate must be
-  registered in ``repro.lint.parity.PAIRS`` (and therefore fingerprinted
-  in ``LINT_PARITY.json``) or explicitly allowlisted — the manifest is
-  exhaustiveness-checked, not honor-system.
 
 Per-file summaries are cached on each file's SHA-256
 (:mod:`repro.lint.flow.cache`), so a warm re-lint skips extraction for

@@ -1,10 +1,10 @@
 """Flow-engine front door: build (or reuse) the whole-program view.
 
-``program_for(project)`` is what the DET1xx / UNIT1xx / PAR1xx rules
+``program_for(project)`` is what the DET1xx / UNIT1xx rules
 call: it hashes every source file, loads unchanged summaries from the
 on-disk cache, extracts the rest, and assembles the
 :class:`~repro.lint.flow.graph.Program`.  Programs are memoized
-in-process on ``(root, file-hash vector)`` so the three rule families —
+in-process on ``(root, file-hash vector)`` so both rule families —
 and repeated ``run_lint`` calls in one process — share one build.
 
 Cache policy: enabled by default, disabled by ``configure(cache=False)``

@@ -28,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.instrument import Instrumentation
 from repro.perfmodel.inference import InferencePerfModel
 from repro.serving.events import Event, EventLog, EventType
-from repro.serving.fastpath import EngineFastPath
+from repro.serving.fastpath import EngineFastPath, arrival_due, decode_context
 from repro.serving.kv_cache import DEFAULT_BLOCK_SIZE, PagedKVCache
 from repro.serving.request import Request, RequestState, SamplingParams
 from repro.serving.scheduler import ScheduledBatch, Scheduler, SchedulerConfig
@@ -395,8 +395,8 @@ class ServingEngine:
 
     def _admit_arrivals(self) -> None:
         obs = self._active_obs()
-        while self._pending and \
-                self._pending[0].effective_arrival_time <= self.clock + 1e-12:
+        while self._pending and arrival_due(
+                self._pending[0].effective_arrival_time, self.clock):
             req = self._pending.pop(0)
             self.log.record(Event(self.clock, EventType.ARRIVAL, (req.request_id,)))
             if obs is not None:
@@ -431,8 +431,7 @@ class ServingEngine:
                 t += vision
             return t, vision, (float(batch.num_tokens),
                                float(batch.batch_size), mean_ctx, attended)
-        mean_ctx = sum(r.kv_tokens for r in reqs) / len(reqs)
-        ctx = max(1, int(mean_ctx))
+        ctx = decode_context(sum(r.kv_tokens for r in reqs), len(reqs))
         return (self.fastpath.step_total(batch.batch_size, batch.batch_size,
                                          ctx, "decode"), 0.0,
                 (float(batch.batch_size), float(batch.batch_size),

@@ -25,26 +25,27 @@ path, which skips building a breakdown.
 
 **Bit-identity contract.**  The fingerprint gate digests ``repr()`` of
 every float and the chaos/fleet digests hash the event stream via
-``float.hex``, so the fast path must reproduce the scalar ``step()``
-loop it replaces operand for operand:
+``float.hex``, so a window must give the same bits as the scalar
+``step()`` loop it replaces.  Where the two make the same decision they
+call the same code: :func:`decode_context` prices each iteration's
+context, :func:`arrival_due` decides when an arrival ends a window, the
+KV pool reports its own availability and utilization, and observation
+goes through ``step()``'s ``_observe_*`` helpers.  What only the window
+does keeps these properties:
 
 * the clock stays *sequential* accumulation (``clock = clock + d`` per
   iteration — ``n`` additions are not a multiplication in IEEE-754);
-* the mean context of ``_iteration_cost`` is replayed as the exact
-  integer sum ``(kv_sum + j * batch) / batch`` (``np.mean`` over Python
-  ints is a pairwise float64 sum, exact below 2**53, divided by the
-  batch — the same correctly-rounded division);
 * durations come from the step model's single evaluation, which gives
-  the same bits as ``decode_step_time`` / ``step_breakdown().total``
-  whether it is handed one point or an array of points;
+  the same bits whether it is handed one point or an array of points;
 * KV blocks are popped through ``PagedKVCache.append_block`` in the
   scalar order — iteration-major, then running order — so prefix-cache
   eviction (which pops LRU reusable blocks) sees the identical request
   stream.
 
-The replay is guarded statically by the PAR lint rules (the
-``engine_*`` pairs in ``LINT_PARITY.json``) and dynamically by
-``tests/test_engine_fastpath.py``.
+The scalar ``step()`` under ``REPRO_NO_VECTORIZE_ENGINE`` is the
+reference: ``tests/test_engine_fastpath.py``,
+``tests/test_observed_golden.py`` and the scalar-mode ``repro bench
+--check`` compare both modes digest for digest.
 
 **Fallback rules.**  A window is only entered when the scalar iteration
 would be "quiet"; anything else returns 0 and the caller runs the plain
@@ -87,11 +88,27 @@ from repro.serving.events import Event, EventType
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serving.engine import ServingEngine
 
-__all__ = ["EngineFastPath"]
+__all__ = ["EngineFastPath", "arrival_due", "decode_context"]
 
 _MAX_WINDOW = 4096
 """Iterations priced per array pass (bounds plan memory; windows longer
 than this simply split, resuming against the warmed decode memo)."""
+
+
+def decode_context(kv_sum: int, batch: int) -> int:
+    """The context a decode iteration over ``batch`` sequences holding
+    ``kv_sum`` KV tokens in all is priced at: their truncated mean, at
+    least 1.  ``ServingEngine._iteration_cost`` and the window's plan
+    both price through it."""
+    return max(1, int(kv_sum / batch))
+
+
+def arrival_due(arrival: float, clock: float) -> bool:
+    """Whether a request entering admission at ``arrival`` is admitted at
+    ``clock``; the 1e-12 s tolerance absorbs the clock's accumulation
+    error.  ``ServingEngine._admit_arrivals`` admits by it and a window
+    ends by it."""
+    return arrival <= clock + 1e-12
 
 
 class EngineFastPath:
@@ -171,15 +188,15 @@ class EngineFastPath:
         ``limit`` steps starting from total context ``kv_sum`` over
         ``batch`` sequences.
 
-        Iteration ``j`` (0-based) prices at context
-        ``max(1, int((kv_sum + j * batch) / batch))`` — the exact value
+        Iteration ``j`` (0-based) prices at
+        ``decode_context(kv_sum + j * batch, batch)``, the context
         ``_iteration_cost`` computes from the pre-iteration ``kv_tokens``.
         One extra point past the window end is priced into the memo: that
         is the completing iteration the scalar ``step()`` takes next, so
         its :meth:`step_total` lookup hits.  Windows resumed after a
         fleet-horizon break find every remaining context memoized."""
         plan = self._plan(batch)
-        contexts = [max(1, int((kv_sum + j * batch) / batch))
+        contexts = [decode_context(kv_sum + j * batch, batch)
                     for j in range(limit + 1)]
         missing = sorted({c for c in contexts if c not in plan})
         if missing:
@@ -207,7 +224,7 @@ class EngineFastPath:
         pending = engine._pending
         next_arrival = pending[0].effective_arrival_time if pending else None
         clock = engine.clock
-        if next_arrival is not None and next_arrival <= clock + 1e-12:
+        if next_arrival is not None and arrival_due(next_arrival, clock):
             return 0
         if clock >= horizon:
             return 0
@@ -248,9 +265,6 @@ class EngineFastPath:
 
         contexts, durations = self._window_durations(batch, kv_sum, limit)
         request_ids = tuple(r.request_id for r in running)
-        num_blocks = kv.num_blocks
-        free = kv.free_blocks
-        available = kv.available_blocks
         record = engine.log.record
         decode = EventType.DECODE
         obs = engine._active_obs()
@@ -259,14 +273,14 @@ class EngineFastPath:
         while done < limit:
             if clock >= horizon:
                 break
-            if next_arrival is not None and next_arrival <= clock + 1e-12:
+            if next_arrival is not None and arrival_due(next_arrival, clock):
                 break
             pops = 0
             while (pop_at + pops < total_pops
                    and crossings[pop_at + pops][0] == done + 1):
                 pops += 1
             if pops:
-                if pops > available:
+                if pops > kv.available_blocks:
                     break  # pool dry: the preemption decision stays scalar
                 for k in range(pops):
                     kv.append_block(tables[crossings[pop_at + k][1]])
@@ -276,8 +290,6 @@ class EngineFastPath:
                     i for _, i in crossings[pop_at:pop_at + pops]})
                 engine._observe_schedule(obs, "decode", batch, batch, 0)
             pop_at += pops
-            free -= pops
-            available -= pops
             duration_s = durations[done]
             t_start = clock
             clock = clock + duration_s
@@ -285,7 +297,7 @@ class EngineFastPath:
             record(Event(
                 clock, decode, request_ids,
                 num_tokens=batch, duration_s=duration_s,
-                kv_utilization=(num_blocks - free) / num_blocks,
+                kv_utilization=kv.utilization,
             ))
             if obs is not None:
                 shape = (float(batch), float(batch), float(contexts[done]),

@@ -11,9 +11,21 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 __all__ = ["SamplingParams", "RequestState", "Request"]
+
+
+def _check_count(name: str, value: object, minimum: int) -> None:
+    """Reject a token/image count that is not an integer (``bool``,
+    floats — integral-valued or NaN — and strings included; NumPy
+    integers pass) or is below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        bound = "positive" if minimum == 1 else "non-negative"
+        raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -27,8 +39,7 @@ class SamplingParams:
     """Per-step chance of early stop when ``ignore_eos`` is False."""
 
     def __post_init__(self) -> None:
-        if self.max_tokens <= 0:
-            raise ValueError(f"max_tokens must be positive, got {self.max_tokens}")
+        _check_count("max_tokens", self.max_tokens, 1)
         if not (0.0 <= self.eos_probability <= 1.0):
             raise ValueError("eos_probability must be in [0, 1]")
 
@@ -79,14 +90,12 @@ class Request:
     failure_reason: str | None = None
 
     def __post_init__(self) -> None:
-        if self.prompt_tokens <= 0:
-            raise ValueError(f"prompt_tokens must be positive, got {self.prompt_tokens}")
+        _check_count("prompt_tokens", self.prompt_tokens, 1)
+        _check_count("num_images", self.num_images, 0)
         if not math.isfinite(self.arrival_time) or self.arrival_time < 0:
             raise ValueError(
                 f"arrival_time must be finite and non-negative, got "
                 f"{self.arrival_time}")
-        if self.num_images < 0:
-            raise ValueError("num_images must be non-negative")
 
     @property
     def context_length(self) -> int:

@@ -30,11 +30,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.faults.invariants import run_digest
+from repro.faults.schedule import FaultEvent, FaultKind, FaultSchedule
 from repro.hardware.gpus import H100_SXM
 from repro.models.zoo import get_model
 from repro.perfmodel import stepcache
 from repro.perfmodel.inference import InferencePerfModel
 from repro.serving.engine import ServingEngine
+from repro.serving.events import EventType
 from repro.serving.request import Request, SamplingParams
 from repro.serving.scheduler import SchedulerConfig
 
@@ -74,11 +76,11 @@ class _engine_mode:
             os.environ["REPRO_NO_VECTORIZE_ENGINE"] = self._saved
 
 
-def _serve(model_name: str, specs, vectorize: bool, *,
-           config: SchedulerConfig | None = None,
-           kv_pool_tokens: int = 32_768,
-           rng_seed: int | None = None) -> str:
-    """Run one workload in the given mode; return its exact run digest.
+def _loaded_engine(model_name: str, specs, vectorize: bool, *,
+                  config: SchedulerConfig | None = None,
+                  kv_pool_tokens: int = 32_768,
+                  rng_seed: int | None = None) -> ServingEngine:
+    """A cold-cache engine in the given mode with ``specs`` submitted.
 
     ``specs`` is a list of ``(prompt, max_tokens, arrival)`` or
     ``(prompt, max_tokens, arrival, sampling_overrides)`` tuples.
@@ -88,16 +90,21 @@ def _serve(model_name: str, specs, vectorize: bool, *,
         rng = np.random.default_rng(rng_seed) if rng_seed is not None else None
         engine = ServingEngine(_perf(model_name), scheduler_config=config,
                                kv_pool_tokens=kv_pool_tokens, rng=rng)
-        assert engine.fastpath.windows == vectorize
-        for rid, spec in enumerate(specs):
-            prompt, out, arrival = spec[:3]
-            overrides = spec[3] if len(spec) > 3 else {}
-            engine.submit(Request(
-                request_id=rid, prompt_tokens=prompt,
-                sampling=SamplingParams(max_tokens=out, **overrides),
-                arrival_time=arrival))
-        result = engine.run()
-    return run_digest(result)
+    assert engine.fastpath.windows == vectorize
+    for rid, spec in enumerate(specs):
+        prompt, out, arrival = spec[:3]
+        overrides = spec[3] if len(spec) > 3 else {}
+        engine.submit(Request(
+            request_id=rid, prompt_tokens=prompt,
+            sampling=SamplingParams(max_tokens=out, **overrides),
+            arrival_time=arrival))
+    return engine
+
+
+def _serve(model_name: str, specs, vectorize: bool, **kwargs) -> str:
+    """Run one workload in the given mode; return its exact run digest."""
+    return run_digest(_loaded_engine(model_name, specs, vectorize,
+                                     **kwargs).run())
 
 
 def _both_modes_equal(model_name: str, specs, **kwargs) -> None:
@@ -177,7 +184,8 @@ class TestDecodeWindowEquivalence:
 
 
 class TestFaultAndFleetEquivalence:
-    def _chaos_digest(self, vectorize: bool, **overrides) -> tuple[str, dict]:
+    def _chaos_digest(self, vectorize: bool, schedule=None,
+                      **overrides) -> tuple[str, dict]:
         from repro.faults.harness import ChaosConfig, chaos_serving_run
 
         stepcache.clear()
@@ -188,7 +196,7 @@ class TestFaultAndFleetEquivalence:
                           num_devices=4, ep=4, replicas=2)
             params.update(overrides)
             config = ChaosConfig(**params)
-            run = chaos_serving_run(config)
+            run = chaos_serving_run(config, schedule)
         return run_digest(run.result), run.summary
 
     def test_fault_kill_requeue(self):
@@ -198,6 +206,21 @@ class TestFaultAndFleetEquivalence:
         fast = self._chaos_digest(True)
         scalar = self._chaos_digest(False)
         assert fast == scalar
+
+    @pytest.mark.parametrize("kind, magnitude", [
+        (FaultKind.LINK_DEGRADE, 4.0), (FaultKind.KV_PRESSURE, 0.5)])
+    def test_fault_lands_mid_decode_run(self, kind, magnitude):
+        """A fault firing inside what would be one quiet decode window:
+        an armed schedule leaves every iteration to ``step()``, which
+        applies the fault on the scalar clock."""
+        quiet = dict(num_requests=8, output_tokens=64, arrival_interval=0.0)
+        _, calm = self._chaos_digest(True, FaultSchedule(), **quiet)
+        schedule = FaultSchedule(events=(FaultEvent(
+            time=0.5 * calm["makespan_s"], kind=kind,
+            magnitude=magnitude),))
+        fast = self._chaos_digest(True, schedule, **quiet)
+        assert fast[1]["faults_applied"] == 1
+        assert fast == self._chaos_digest(False, schedule, **quiet)
 
     def test_failfast_policy(self):
         fast = self._chaos_digest(True, policy="failfast", fault_seed=3)
@@ -260,6 +283,82 @@ class TestFastPathMechanics:
             assert windowed.clock == scalar.clock
             assert len(windowed.log.events) == len(scalar.log.events)
         assert run_digest(windowed.run()) == run_digest(scalar.run())
+
+
+class TestArrivalAtWindowClock:
+    """An arrival due at a clock a window reaches — exactly on it, or
+    within the 1e-12 s admission tolerance after it — ends the window
+    there and is admitted at that clock, as the scalar loop admits it."""
+
+    _BASE = [(96, 48, 0.0), (160, 48, 0.0), (64, 48, 0.0)]
+
+    @staticmethod
+    def _decode_clocks(specs) -> list[tuple[float, bool]]:
+        """``(clock, windowed)`` after each decode iteration of a
+        windowed run of ``specs``."""
+        engine = _loaded_engine("OLMoE-1B-7B", specs, True)
+        clocks: list[tuple[float, bool]] = []
+        while True:
+            seen = len(engine.log.events)
+            advanced = engine.advance_window()
+            if not advanced and not engine.step():
+                return clocks
+            clocks += [(e.time, advanced > 0)
+                       for e in engine.log.events[seen:]
+                       if e.type is EventType.DECODE]
+
+    @pytest.mark.parametrize("k", [3, 17])
+    @pytest.mark.parametrize("offset", [0.0, 5e-13])
+    def test_arrival_on_kth_decode_clock(self, k, offset):
+        clocks = self._decode_clocks(self._BASE)
+        # the k-th iteration and the one after it sit inside one window,
+        # so without the arrival the window would run past clock t_k
+        windowed = [i for i in range(len(clocks) - 1)
+                    if clocks[i][1] and clocks[i + 1][1]]
+        t_k = clocks[windowed[k]][0]
+        late = len(self._BASE)
+        specs = self._BASE + [(32, 8, t_k + offset)]
+        _both_modes_equal("OLMoE-1B-7B", specs)
+
+        result = _loaded_engine("OLMoE-1B-7B", specs, True).run()
+        admitted = [e.time for e in result.log.events
+                    if e.type is EventType.ARRIVAL and e.request_ids == (late,)]
+        assert admitted == [t_k]
+
+
+class TestIntegralTokenCounts:
+    """Token and image counts are integers at the request boundary.  A
+    float — integral-valued or not — a bool or NaN is refused with a
+    ValueError naming the field, before either engine mode sees it;
+    NumPy integers are served exactly like ints in both modes."""
+
+    @pytest.mark.parametrize("value", [4.0, 2.5, True, float("nan"), "4"])
+    @pytest.mark.parametrize("field", ["max_tokens", "prompt_tokens",
+                                       "num_images"])
+    def test_non_integral_count_rejected(self, field, value):
+        counts = {"max_tokens": 4, "prompt_tokens": 32, "num_images": 0}
+        counts[field] = value
+        with pytest.raises(ValueError, match=field):
+            Request(request_id=0, prompt_tokens=counts["prompt_tokens"],
+                    sampling=SamplingParams(max_tokens=counts["max_tokens"]),
+                    num_images=counts["num_images"])
+
+    def test_numpy_counts_serve_in_both_modes(self):
+        def serve(vectorize):
+            stepcache.clear()
+            with _engine_mode(vectorize):
+                engine = ServingEngine(_perf("OLMoE-1B-7B"))
+            for rid, out in enumerate((np.int64(4), np.int32(37))):
+                engine.submit(Request(
+                    request_id=rid, prompt_tokens=np.int64(48 + rid),
+                    sampling=SamplingParams(max_tokens=out),
+                    num_images=np.int16(0), arrival_time=0.001 * rid))
+            return engine.run()
+
+        fast, scalar = serve(True), serve(False)
+        for result in (fast, scalar):
+            assert [r.generated_tokens for r in result.requests] == [4, 37]
+        assert run_digest(fast) == run_digest(scalar)
 
 
 class TestResultAggregates:

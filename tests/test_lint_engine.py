@@ -72,10 +72,9 @@ class TestRuleRegistry:
     def test_all_families_registered(self):
         ids = {r.id for r in all_rules()}
         for family in ("DET001", "DET002", "DET003", "UNIT001", "UNIT002",
-                       "UNIT003", "PAR001", "PAR002", "REG001", "REG002",
-                       "REG003", "REG004", "DET101", "DET102", "DET103",
-                       "UNIT101", "UNIT102", "UNIT103", "PAR101", "PAR102",
-                       "SUP001"):
+                       "UNIT003", "REG001", "REG002", "REG003", "REG004",
+                       "DET101", "DET102", "DET103", "UNIT101", "UNIT102",
+                       "UNIT103", "SUP001"):
             assert family in ids
 
     def test_select_by_prefix(self):
@@ -88,8 +87,8 @@ class TestRuleRegistry:
         assert ids == {"DET001", "DET002", "DET003"}
 
     def test_select_mixed_spec(self):
-        ids = {r.id for r in select_rules("UNIT001,PAR")}
-        assert ids == {"UNIT001", "PAR001", "PAR002", "PAR101", "PAR102"}
+        ids = {r.id for r in select_rules("UNIT001,OBS")}
+        assert ids == {"UNIT001", "OBS001", "OBS002"}
 
     def test_select_none_selects_all(self):
         assert select_rules(None) == all_rules()

@@ -16,8 +16,7 @@ REPO = pathlib.Path(__file__).resolve().parents[1]
 def _ns(**overrides) -> argparse.Namespace:
     defaults = dict(list_rules=False, root=str(REPO), rules=None, check=False,
                     json=False, out=None, baseline=None, update_baseline=False,
-                    update_parity=False, graph=False, graph_format="dot",
-                    no_cache=False)
+                    graph=False, graph_format="dot", no_cache=False)
     defaults.update(overrides)
     return argparse.Namespace(**defaults)
 
@@ -49,7 +48,7 @@ class TestCliExitCodes:
         assert cmd_lint(_ns(check=True)) == 0
 
     def test_rule_subset_selection(self, capsys):
-        assert cmd_lint(_ns(rules="PAR", check=True)) == 0
+        assert cmd_lint(_ns(rules="REG", check=True)) == 0
 
     def test_bad_selector_exits_two(self, capsys):
         assert cmd_lint(_ns(rules="NOPE")) == 2
@@ -87,6 +86,6 @@ class TestCliExitCodes:
         assert cmd_lint(_ns(root=str(tmp_path), check=True)) == 1
 
     def test_parser_wires_lint_subcommand(self):
-        args = build_parser().parse_args(["lint", "--check", "--rules", "PAR"])
+        args = build_parser().parse_args(["lint", "--check", "--rules", "REG"])
         assert args.func is cmd_lint
-        assert args.check and args.rules == "PAR"
+        assert args.check and args.rules == "REG"
