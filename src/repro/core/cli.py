@@ -25,7 +25,7 @@ Usage::
     repro fleet [--replicas N] [--policy round_robin|least_kv|prefix_affinity]
     repro fleet [--requests N] [--seed N] [--no-storm] [--no-autoscale]
     repro fleet --smoke
-    repro lint [--check] [--rules DET,UNIT,OBS,REG,SUP] [--json]
+    repro lint [--check] [--rules DET,UNIT,OBS,REG,SUP] [--json] [--no-cache]
     repro lint --update-baseline | --list-rules
 
 (``repro`` and ``moe-inference-bench`` are the same entry point.)
@@ -340,7 +340,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         Tolerance,
         compare_fingerprints,
         first_suspect,
-        measure_disabled_overhead,
         render_drift_report,
     )
 
@@ -389,17 +388,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"[DRIFT] {exp_id}: {len(drifts)} metric(s)")
         else:
             print(f"[ok] {exp_id}")
-    if args.check:
-        if all_drifts:
-            print()
-            print(render_drift_report(all_drifts), file=sys.stderr)
-        if not args.no_overhead:
-            report = measure_disabled_overhead()
-            print(report.describe())
-            if not report.within():
-                print("[FAIL] disabled-instrumentation overhead exceeds the "
-                      "2% band", file=sys.stderr)
-                failures += 1
+    if args.check and all_drifts:
+        print()
+        print(render_drift_report(all_drifts), file=sys.stderr)
     return 1 if (failures or all_drifts) else 0
 
 
@@ -847,9 +838,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="annotation stored with --record")
     p_bench.add_argument("--wall", action="store_true",
                          help="also gate wall-clock metrics (loose band)")
-    p_bench.add_argument("--no-overhead", action="store_true",
-                         help="skip the disabled-instrumentation overhead "
-                              "gate during --check")
     p_bench.add_argument("--out", help="write the --trend report here")
     _add_runner_args(p_bench)
     p_bench.set_defaults(func=_cmd_bench)

@@ -9,7 +9,11 @@ from repro.models.config import ModelConfig
 from repro.models.params import model_params
 from repro.optim.quantization import FP16_CONFIG, QuantConfig
 from repro.parallel.plan import SINGLE_DEVICE, ParallelPlan
-from repro.perfmodel.inference import _DECODE_SAMPLES, InferencePerfModel
+from repro.perfmodel.inference import (
+    InferencePerfModel,
+    decode_checkpoints,
+    decode_integral,
+)
 
 __all__ = [
     "H100",
@@ -95,14 +99,10 @@ def metrics_rows(pm: InferencePerfModel, shapes, images: int = 0) -> list[dict[s
     shapes against one deployment, priced as NumPy arrays in one pass.
 
     Bit-identical to the per-point loop (the step model's array and point
-    entries are one evaluation, see :mod:`repro.perfmodel.phases`); an
-    instrumented perf model takes the per-point path, which owns the
-    evaluation counters.
+    entries are one evaluation, see :mod:`repro.perfmodel.phases`), and an
+    instrumented perf model counts the same evaluations.
     """
     shapes = [(int(b), int(i), int(o)) for b, i, o in shapes]
-    if pm.obs is not None and pm.obs.active:
-        return [metrics_row(pm, b, i, o, images=images) for b, i, o in shapes]
-
     steps = pm.steps
     ctx0s = [pm._context_tokens(i, images) for _, i, _ in shapes]
     ttfts = steps.prefill_totals([b for b, _, _ in shapes], ctx0s)
@@ -115,31 +115,26 @@ def metrics_rows(pm: InferencePerfModel, shapes, images: int = 0) -> list[dict[s
     # flatten every (point, checkpoint) pair into one array axis
     flat_b: list[int] = []
     flat_ctx: list[int] = []
-    spans: list[tuple[int, int, int] | None] = []
+    spans: list[tuple[int, int]] = []
     for (b, _, o), ctx0 in zip(shapes, ctx0s):
-        if o <= 1:
-            spans.append(None)
-            continue
-        n_steps = o - 1
-        samples = max(2, min(_DECODE_SAMPLES, n_steps))
-        spans.append((len(flat_b), samples, n_steps))
-        for s in range(samples):
-            ctx = ctx0 + 1 + int(round(s * (n_steps - 1) / max(1, samples - 1)))
-            flat_b.append(b)
-            flat_ctx.append(ctx)
+        ctxs = decode_checkpoints(ctx0, o)
+        spans.append((len(flat_ctx), len(flat_ctx) + len(ctxs)))
+        flat_b.extend([b] * len(ctxs))
+        flat_ctx.extend(ctxs)
     step_times = steps.decode_totals(flat_b, flat_ctx) if flat_b else []
 
     rows = []
-    for (b, i, o), ttft, span in zip(shapes, ttfts, spans):
-        if span is None:
-            decode = 0.0
-        else:
-            start, samples, n_steps = span
-            total = 0.0
-            for idx in range(start, start + samples):
-                total += step_times[idx]
-            decode = total * n_steps / samples
+    decodes = 0
+    for (b, i, o), ttft, (start, stop) in zip(shapes, ttfts, spans):
+        decode = 0.0
+        if stop > start:
+            decode = decode_integral(step_times[start:stop], o)
+            decodes += 1
         m = InferenceMetrics(shape=GenerationShape(b, i, o),
                              ttft_s=ttft, e2e_latency_s=ttft + decode)
         rows.append(_metric_columns(pm, m, b, i, o))
+    if shapes:
+        pm._count_eval("ttft", len(shapes))
+    if decodes:
+        pm._count_eval("decode", decodes)
     return rows

@@ -225,7 +225,7 @@ class FaultInjector:
         engine.log.record(Event(now, EventType.FAULT,
                                 detail=detail or event.describe()))
         obs = self.obs
-        if obs is not None and obs.active:
+        if obs is not None:
             obs.tracer.instant(f"fault.{event.kind.value}", now, cat="fault",
                                target=event.target, magnitude=event.magnitude)
             obs.metrics.counter(
@@ -257,7 +257,7 @@ class FaultInjector:
         engine.log.record(Event(now, EventType.RECOVERY,
                                 detail=f"healed: {event.describe()}"))
         obs = self.obs
-        if obs is not None and obs.active:
+        if obs is not None:
             obs.tracer.instant(f"heal.{event.kind.value}", now, cat="fault",
                                target=event.target)
             obs.metrics.counter(
@@ -395,8 +395,6 @@ class FaultInjector:
         if not victims:
             return
         obs = self.obs
-        if obs is not None and not obs.active:
-            obs = None
         retried: list[int] = []
         failed: list[int] = []
         for req in victims:
@@ -427,7 +425,7 @@ class FaultInjector:
             engine.log.record(Event(now, EventType.FAIL, tuple(failed),
                                     detail=reason))
         obs = self.obs
-        if obs is not None and obs.active:
+        if obs is not None:
             if retried:
                 obs.metrics.counter(
                     "fault_retries_total",

@@ -264,10 +264,6 @@ class FleetSimulator:
     def _routable(self) -> list[Replica]:
         return [r for r in self.replicas if r.routable]
 
-    def _active_obs(self) -> "Instrumentation | None":
-        obs = self.obs
-        return obs if obs is not None and obs.active else None
-
     # ------------------------------------------------------------------ #
     # the run
     # ------------------------------------------------------------------ #
@@ -350,7 +346,7 @@ class FleetSimulator:
             if replica.alive:
                 fresh.extend(replica.new_terminals())
         fresh.sort()
-        obs = self._active_obs()
+        obs = self.obs
         for time, rid in fresh:
             req = self._by_id[rid]
             self.admission.on_terminal(req, time)
@@ -376,7 +372,7 @@ class FleetSimulator:
         req.fail(reason)
         self.shed.append(req)
         self.admission.on_terminal(req, now)
-        obs = self._active_obs()
+        obs = self.obs
         if obs is not None:
             obs.now = max(obs.now, now)
             obs.metrics.counter(
@@ -389,7 +385,7 @@ class FleetSimulator:
         replica.engine.submit(req)
         replica.assigned += 1
         self.assignments.append((now, req.request_id, replica.replica_id))
-        obs = self._active_obs()
+        obs = self.obs
         if obs is not None:
             obs.now = max(obs.now, now)
             obs.metrics.counter(
@@ -406,7 +402,7 @@ class FleetSimulator:
         orphans = victim.kill(now)
         self.kills.append((now, victim.replica_id))
         self._kill_landed[idx] = victim.replica_id
-        obs = self._active_obs()
+        obs = self.obs
         if obs is not None:
             obs.now = max(obs.now, now)
             obs.tracer.instant("fleet.replica_loss", now, cat="fleet",
@@ -433,7 +429,7 @@ class FleetSimulator:
             return  # the paired kill found no replica to kill
         replacement = self._spawn(now)
         self.heals.append((now, replacement.replica_id))
-        obs = self._active_obs()
+        obs = self.obs
         if obs is not None:
             obs.now = max(obs.now, now)
             obs.tracer.instant("fleet.replica_heal", now, cat="fleet",
@@ -475,7 +471,7 @@ class FleetSimulator:
             victim.retire_if_drained(now)
         self.autoscaler.record_applied(len(self._routable()))
         self._last_tick = now
-        obs = self._active_obs()
+        obs = self.obs
         if obs is not None:
             obs.now = max(obs.now, now)
             obs.metrics.gauge(
@@ -540,7 +536,7 @@ class FleetSimulator:
             budgets=self.admission.budgets(),
             num_rerouted=self.num_rerouted,
         )
-        obs = self._active_obs()
+        obs = self.obs
         if obs is not None:
             obs.metrics.gauge(
                 "fleet_makespan_seconds",

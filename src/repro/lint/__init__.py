@@ -3,8 +3,9 @@
 Five rule families, all AST-based (nothing executes):
 
 * **DET** determinism: no wall clocks, unseeded RNG, or set-order
-  iteration outside the wall channel (bit-identical fingerprints), in
-  one function (DET0xx) and along the call graph (DET1xx);
+  iteration outside the wall channel (bit-identical fingerprints),
+  flagged at the line that does it, however many calls later the value
+  reaches a digest;
 * **UNIT** unit consistency: suffix-inferred dimensional analysis of
   the roofline arithmetic in ``repro.perfmodel`` / ``repro.hardware``,
   in one function (UNIT0xx) and across calls (UNIT1xx);

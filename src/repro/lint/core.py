@@ -287,7 +287,7 @@ def _ensure_loaded() -> None:
         suppressions,
         units,
     )
-    from repro.lint.flow import taint, unitflow  # noqa: F401
+    from repro.lint.flow import unitflow  # noqa: F401
 
 
 def all_rules() -> list[Rule]:

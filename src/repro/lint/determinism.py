@@ -63,12 +63,8 @@ _STDLIB_RANDOM_FNS = {
 
 def iter_wall_hits(tree: ast.AST,
                    aliases: dict[str, str]) -> Iterator[tuple[ast.Call, str]]:
-    """(call node, resolved name) for every wall-clock read in ``tree``.
-
-    Shared between DET001 (local rule) and the interprocedural taint
-    summarizer (:mod:`repro.lint.flow.summary`), so both see exactly the
-    same sources.
-    """
+    """(call node, resolved name) for every wall-clock read in ``tree``
+    (DET001's sources)."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -80,7 +76,7 @@ def iter_wall_hits(tree: ast.AST,
 def iter_rng_hits(tree: ast.AST,
                   aliases: dict[str, str]) -> Iterator[tuple[ast.Call, str]]:
     """(call node, resolved name) for every unseeded / process-global RNG
-    use in ``tree`` (shared with the flow summarizer like DET001)."""
+    use in ``tree`` (DET002's sources)."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -189,7 +185,7 @@ def _is_set_expr(node: ast.AST) -> bool:
 
 def iter_set_order_hits(tree: ast.AST) -> Iterator[tuple[ast.AST, str]]:
     """(node, description) for every hash-order set iteration in ``tree``
-    (shared between DET003 and the flow summarizer)."""
+    (DET003's sources)."""
     set_names = _set_typed_names(tree)
 
     def flag(iter_node: ast.AST) -> Iterator[tuple[ast.AST, str]]:

@@ -1,7 +1,7 @@
 """Incremental flow cache: per-file summaries keyed on SHA-256.
 
 The whole-program passes are rebuilt every run (they are cheap: dict
-walks over summaries), but per-file extraction — eight AST walks per
+walks over summaries), but per-file extraction — five AST walks per
 file — is the dominant cost, so summaries persist to
 ``<root>/.lint_cache/flow.json`` keyed on each file's content hash.  A
 warm run re-extracts only files whose bytes changed; everything else is

@@ -1,23 +1,21 @@
 """Flow-engine front door: build (or reuse) the whole-program view.
 
-``program_for(project)`` is what the DET1xx / UNIT1xx rules
+``program_for(project)`` is what the UNIT1xx rules
 call: it hashes every source file, loads unchanged summaries from the
 on-disk cache, extracts the rest, and assembles the
 :class:`~repro.lint.flow.graph.Program`.  Programs are memoized
-in-process on ``(root, file-hash vector)`` so both rule families —
-and repeated ``run_lint`` calls in one process — share one build.
+in-process on ``(root, file-hash vector)`` so the rules — and repeated
+``run_lint`` calls in one process — share one build.
 
 Cache policy: enabled by default, disabled by ``configure(cache=False)``
-(the CLI's ``--no-cache``) or the ``REPRO_LINT_NO_CACHE`` environment
-variable.  Disabling the cache never changes results — only speed — and
-cache hits/misses are recorded in ``program.stats`` so tests and the CI
-log can prove a warm run was actually warm.
+(the CLI's ``--no-cache``).  Disabling the cache never changes results
+— only speed — and cache hits/misses are recorded in ``program.stats``
+so tests and the CI log can prove a warm run was actually warm.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import pathlib
 
 from repro.lint.core import LintProject
@@ -42,12 +40,6 @@ def configure(cache: bool = True,
         pathlib.Path(cache_path) if cache_path is not None else None)
 
 
-def _cache_enabled() -> bool:
-    if os.environ.get("REPRO_LINT_NO_CACHE"):
-        return False
-    return bool(_CONFIG["cache"])
-
-
 def file_sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -62,7 +54,7 @@ def program_for(project: LintProject) -> Program:
         return cached
 
     disk = None
-    if _cache_enabled():
+    if _CONFIG["cache"]:
         disk = FlowCache(project.root, path=_CONFIG["cache_path"])
     summaries: dict[str, FileSummary] = {}
     hits = misses = 0

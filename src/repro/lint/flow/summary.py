@@ -1,13 +1,13 @@
 """Per-file extraction for the flow analyses.
 
 One :class:`FileSummary` per source file holds everything the
-interprocedural passes need — functions with their call sites,
-determinism sources, unit facts and receiver-type hints — in plain
+interprocedural pass needs — functions with their call sites, unit
+facts and receiver-type hints — in plain
 JSON-serializable form, so summaries round-trip through the SHA-keyed
 incremental cache (:mod:`repro.lint.flow.cache`) and a warm run never
 re-walks an unchanged file's AST.
 
-Attribution is span-based: every call / source / return found in the
+Attribution is span-based: every call / return found in the
 tree belongs to the innermost enclosing function (by line span), and
 module-level code is attributed to the pseudo-function ``<module>``.
 """
@@ -19,18 +19,13 @@ import dataclasses
 from typing import Any, Iterator
 
 from repro.lint.core import SourceFile, dotted_name, import_aliases
-from repro.lint.determinism import (
-    iter_rng_hits,
-    iter_set_order_hits,
-    iter_wall_hits,
-)
 from repro.lint.units import UnitEnv, infer_unit, name_unit
 
-__all__ = ["CallSite", "SourceHit", "UnitMix", "ReturnCall",
+__all__ = ["CallSite", "UnitMix", "ReturnCall",
            "FunctionSummary", "FileSummary", "module_name_for",
            "summarize_source", "SUMMARY_VERSION"]
 
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 
 MODULE_FN = "<module>"
 
@@ -62,16 +57,6 @@ class CallSite:
     end_line: int
     arg_units: list = dataclasses.field(default_factory=list)    # [idx, unit]
     kwarg_units: list = dataclasses.field(default_factory=list)  # [name, unit]
-
-
-@dataclasses.dataclass
-class SourceHit:
-    """One determinism source (wall / rng / set-order) inside a function."""
-
-    kind: str  # "wall" | "rng" | "set-order"
-    detail: str
-    line: int
-    end_line: int
 
 
 @dataclasses.dataclass
@@ -108,8 +93,6 @@ class FunctionSummary:
     return_calls: list = dataclasses.field(default_factory=list)
     calls: list = dataclasses.field(default_factory=list)
     mixes: list = dataclasses.field(default_factory=list)
-    sources: list = dataclasses.field(default_factory=list)
-    decorators: list = dataclasses.field(default_factory=list)
     class_name: str | None = None
     var_types: dict = dataclasses.field(default_factory=dict)
 
@@ -117,7 +100,6 @@ class FunctionSummary:
         d = dataclasses.asdict(self)
         d["calls"] = _asdict_list(self.calls)
         d["mixes"] = _asdict_list(self.mixes)
-        d["sources"] = _asdict_list(self.sources)
         d["return_calls"] = _asdict_list(self.return_calls)
         return d
 
@@ -126,7 +108,6 @@ class FunctionSummary:
         d = dict(d)
         d["calls"] = [CallSite(**c) for c in d.get("calls", [])]
         d["mixes"] = [UnitMix(**m) for m in d.get("mixes", [])]
-        d["sources"] = [SourceHit(**s) for s in d.get("sources", [])]
         d["return_calls"] = [ReturnCall(**r) for r in d.get("return_calls", [])]
         return cls(**d)
 
@@ -240,11 +221,6 @@ def summarize_source(sf: SourceFile, sha: str) -> FileSummary:
         fs.params = _param_names(fn, is_method)
         fs.param_units = {p: u for p in fs.params
                           if (u := name_unit(p, env.declared)) is not None}
-        for dec in fn.decorator_list:
-            target = dec.func if isinstance(dec, ast.Call) else dec
-            raw = dotted_name(target)
-            if raw is not None:
-                fs.decorators.append(raw)
         by_qual[qual] = fs
         # a nested def is conservatively assumed callable by its owner
         outer = span.owner(fn.lineno - 1) if fn.lineno > 1 else MODULE_FN
@@ -306,18 +282,6 @@ def summarize_source(sf: SourceFile, sha: str) -> FileSummary:
                 site.kwarg_units.append([kw.arg, unit])
         owner_of(node).calls.append(site)
 
-    # determinism sources
-    for hit_iter, kind in ((iter_wall_hits(sf.tree, aliases), "wall"),
-                           (iter_rng_hits(sf.tree, aliases), "rng")):
-        for node, detail in hit_iter:
-            owner_of(node).sources.append(SourceHit(
-                kind=kind, detail=detail, line=node.lineno,
-                end_line=node.end_lineno or node.lineno))
-    for node, detail in iter_set_order_hits(sf.tree):
-        owner_of(node).sources.append(SourceHit(
-            kind="set-order", detail=detail, line=node.lineno,
-            end_line=node.end_lineno or node.lineno))
-
     # returns: local units, plus bare calls whose unit must flow in
     for node in ast.walk(sf.tree):
         if not isinstance(node, ast.Return) or node.value is None:
@@ -359,8 +323,7 @@ def summarize_source(sf: SourceFile, sha: str) -> FileSummary:
                     record_mix(a, b, node)
 
     out.functions = [by_qual[q] for q in sorted(by_qual)
-                     if q != MODULE_FN or by_qual[q].calls
-                     or by_qual[q].sources]
+                     if q != MODULE_FN or by_qual[q].calls]
     for fs in out.functions:
         fs.return_units.sort()
     return out

@@ -81,7 +81,6 @@ from repro.obs.regress import (
     Drift,
     Tolerance,
     compare_fingerprints,
-    measure_disabled_overhead,
 )
 from repro.obs.report import (
     render_bundle_report,
@@ -119,7 +118,6 @@ __all__ = [
     "Tolerance",
     "Drift",
     "compare_fingerprints",
-    "measure_disabled_overhead",
     "CostProfile",
     "ProfileReport",
     "profile_serving_run",

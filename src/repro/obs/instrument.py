@@ -2,13 +2,11 @@
 
 Every instrumented call site in the serving/perf-model stack takes an
 optional :class:`Instrumentation` (default ``None``) and guards its hooks
-with ``if obs is not None and obs.active`` — so the default path costs one
-comparison and produces byte-identical results to uninstrumented code.
+with ``if obs is not None`` — so the unobserved path costs one comparison
+and produces byte-identical results to uninstrumented code.
 
 ``Instrumentation.on()`` builds a live tracer + metrics registry (and,
-given a MoE model, an expert-routing probe); ``Instrumentation.off()``
-builds an inert one whose hooks are skipped entirely, used by the overhead
-benchmark to price the disabled path.
+given a MoE model, an expert-routing probe).
 """
 
 from __future__ import annotations
@@ -56,9 +54,6 @@ class Instrumentation:
     heat windows, and MoE-CAP Sparse-MBU/MFU gauges.  Attach after
     construction — it needs the deployment's perf model:
     ``obs.cluster = ClusterTelemetry(perf, routing=obs.routing)``."""
-    active: bool = True
-    """Master switch: instrumented call sites skip every hook when False."""
-
     now: float = 0.0
     """Mirror of the owning engine's simulated clock, updated each
     iteration so clock-less components (scheduler, KV cache) can stamp
@@ -87,8 +82,3 @@ class Instrumentation:
         if slo is not None:
             slo.align_buckets(obs.metrics)
         return obs
-
-    @classmethod
-    def off(cls) -> "Instrumentation":
-        """Inert instrumentation: hooks short-circuit, nothing is recorded."""
-        return cls(tracer=SpanTracer(enabled=False), active=False)

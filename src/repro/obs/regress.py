@@ -13,9 +13,6 @@ figures, so this module makes the reproduction self-watching:
 * :func:`suspect_modules` names the first commit-visible suspect: files
   changed since the baseline's git sha, intersected with the ``repro``
   modules actually loaded while the experiment ran.
-* :func:`measure_disabled_overhead` is the shared "<2% when disabled"
-  measurement used by both ``repro bench --check`` and the standalone
-  overhead benchmark.
 
 ``repro bench --record / --check / --trend`` is the CLI surface.
 """
@@ -28,9 +25,8 @@ import math
 import pathlib
 import subprocess
 import sys
-import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from repro.obs.fingerprint import Fingerprint
 
@@ -42,8 +38,6 @@ __all__ = [
     "render_drift_report",
     "suspect_modules",
     "first_suspect",
-    "OverheadReport",
-    "measure_disabled_overhead",
 ]
 
 
@@ -285,69 +279,3 @@ def render_drift_report(drifts: list[Drift]) -> str:
     for d in drifts:
         lines.append(f"  - {d.describe()}")
     return "\n".join(lines)
-
-
-# --------------------------------------------------------------------------- #
-# disabled-instrumentation overhead gate
-# --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class OverheadReport:
-    """Wall-time cost of the *disabled* observability path."""
-
-    baseline_s: float
-    disabled_s: float
-    rounds: int
-
-    @property
-    def ratio(self) -> float:
-        return self.disabled_s / self.baseline_s if self.baseline_s > 0 else 0.0
-
-    def within(self, max_ratio: float = 1.02, abs_slack_s: float = 2e-3) -> bool:
-        """Whether the disabled path stays inside the overhead band
-        (a small absolute slack absorbs scheduler jitter on sub-ms runs)."""
-        return self.disabled_s <= self.baseline_s * max_ratio + abs_slack_s
-
-    def describe(self) -> str:
-        return (f"disabled-instrumentation overhead: baseline "
-                f"{self.baseline_s:.4f}s, disabled {self.disabled_s:.4f}s "
-                f"({100 * (self.ratio - 1):+.2f}%, min of {self.rounds})")
-
-
-def _min_time(fn: Callable[[], Any], rounds: int) -> float:
-    # min-of-N: the least noisy location statistic for a deterministic
-    # workload on a shared machine
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def measure_disabled_overhead(rounds: int = 7, **workload: Any) -> OverheadReport:
-    """Time the reference serving run with no instrumentation vs. a
-    disabled handle (``Instrumentation.off()``)."""
-    from repro.obs.harness import reference_serving_run
-    from repro.obs.instrument import Instrumentation
-
-    kwargs = {"num_requests": 16, "input_tokens": 256, "output_tokens": 64,
-              **workload}
-
-    def baseline() -> Any:
-        return reference_serving_run(**kwargs)
-
-    def disabled() -> Any:
-        return reference_serving_run(
-            instrumentation=Instrumentation.off(), **kwargs
-        )
-
-    # warm-up: import costs, perf-model caches, allocator pools
-    baseline()
-    disabled()
-    return OverheadReport(
-        baseline_s=_min_time(baseline, rounds),
-        disabled_s=_min_time(disabled, rounds),
-        rounds=rounds,
-    )

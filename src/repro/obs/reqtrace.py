@@ -22,8 +22,8 @@ Exports: a deterministic per-request timeline table
 one track per request (:meth:`RequestTracer.to_chrome_trace`), mergeable
 with the engine tracer's events for one combined Perfetto view.
 
-Like every observability hook, call sites guard with ``obs is not None
-and obs.active`` and the recorder never perturbs the simulation — results
+Like every observability hook, call sites guard with ``obs is not None``
+and the recorder never perturbs the simulation — results
 stay bit-identical whether or not it is attached.
 """
 

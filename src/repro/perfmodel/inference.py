@@ -23,11 +23,35 @@ from repro.parallel.plan import SINGLE_DEVICE, ParallelPlan
 from repro.perfmodel.memory import MemoryModel
 from repro.perfmodel.phases import StepModel
 
-__all__ = ["OOMError", "InferencePerfModel"]
+__all__ = ["OOMError", "InferencePerfModel", "decode_checkpoints",
+           "decode_integral"]
 
 # number of decode checkpoints used to integrate the growing-context decode
 # time; decode cost is affine in context length, so few points suffice
 _DECODE_SAMPLES = 8
+
+
+def decode_checkpoints(ctx0: int, output_tokens: int) -> list[int]:
+    """Context lengths at which the decode phase (output tokens 2..N) is
+    sampled, for a prompt of ``ctx0`` LM tokens; empty when there is no
+    decode phase.  :func:`decode_integral` turns the step times priced at
+    these contexts into the phase's total time."""
+    if output_tokens <= 1:
+        return []
+    n_steps = output_tokens - 1
+    samples = max(2, min(_DECODE_SAMPLES, n_steps))
+    return [ctx0 + 1 + int(round(i * (n_steps - 1) / max(1, samples - 1)))
+            for i in range(samples)]
+
+
+def decode_integral(step_times, output_tokens: int) -> float:
+    """Total decode time from the step times priced at
+    :func:`decode_checkpoints`: their mean scaled to the phase's
+    ``output_tokens - 1`` steps (summed in checkpoint order)."""
+    total = 0.0
+    for t in step_times:
+        total += t
+    return total * (output_tokens - 1) / len(step_times)
 
 
 class OOMError(RuntimeError):
@@ -72,14 +96,14 @@ class InferencePerfModel:
                                   mla_native=mla_native)
         self.obs = instrumentation
 
-    def _count_eval(self, kind: str) -> None:
+    def _count_eval(self, kind: str, n: int = 1) -> None:
         obs = self.obs
-        if obs is not None and obs.active:
+        if obs is not None:
             obs.metrics.counter(
                 "perfmodel_evaluations_total",
                 "analytical perf-model evaluations",
                 labels={"kind": kind},
-            ).inc()
+            ).inc(n)
 
     @property
     def model(self) -> ModelConfig:
@@ -125,13 +149,9 @@ class InferencePerfModel:
             return 0.0
         self._count_eval("decode")
         ctx0 = self._context_tokens(input_tokens, images_per_sample)
-        n_steps = output_tokens - 1
-        samples = max(2, min(_DECODE_SAMPLES, n_steps))
-        total = 0.0
-        for i in range(samples):
-            ctx = ctx0 + 1 + int(round(i * (n_steps - 1) / max(1, samples - 1)))
-            total += self.steps.decode_step_time(batch, ctx)
-        return total * n_steps / samples
+        step_times = [self.steps.decode_step_time(batch, ctx)
+                      for ctx in decode_checkpoints(ctx0, output_tokens)]
+        return decode_integral(step_times, output_tokens)
 
     def generate(
         self,
@@ -144,7 +164,7 @@ class InferencePerfModel:
         """Full-generation metrics for the given workload shape."""
         shape = GenerationShape(batch, input_tokens, output_tokens)
         obs = self.obs
-        if obs is not None and obs.active:
+        if obs is not None:
             with obs.tracer.wall_span("perfmodel.generate", track="perfmodel",
                                       cat="perfmodel", batch=batch,
                                       input_tokens=input_tokens,

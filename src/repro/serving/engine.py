@@ -33,7 +33,30 @@ from repro.serving.kv_cache import DEFAULT_BLOCK_SIZE, PagedKVCache
 from repro.serving.request import Request, RequestState, SamplingParams
 from repro.serving.scheduler import ScheduledBatch, Scheduler, SchedulerConfig
 
-__all__ = ["ServingResult", "ServingEngine", "serve_static_batch"]
+__all__ = ["ServingResult", "ServingEngine", "EngineStalledError",
+           "serve_static_batch", "MAX_STALLED_ITERATIONS"]
+
+MAX_STALLED_ITERATIONS = 100_000
+"""Consecutive iterations :meth:`ServingEngine.run` allows without
+progress (no request admitted, no token prefilled or generated, no
+request finished or failed).  Healthy runs stall for a handful of
+iterations at most (all-preempted batches, idle jumps to the next
+arrival, fault-starvation advances); the bound keeps a livelocked run
+from growing its event log until memory runs out."""
+
+
+class EngineStalledError(RuntimeError):
+    """:meth:`ServingEngine.run` went more than
+    :data:`MAX_STALLED_ITERATIONS` consecutive iterations without
+    progress."""
+
+    def __init__(self, clock: float, iterations: int) -> None:
+        super().__init__(
+            f"engine made no progress in more than {MAX_STALLED_ITERATIONS} "
+            f"consecutive iterations (simulated clock {clock!r} s, "
+            f"{iterations} iterations run)")
+        self.clock = clock
+        self.iterations = iterations
 
 StepShape = tuple[float, float, float, float | None]
 """A perf-model step shape ``(num_tokens, batch, kv_len, attended_len)``."""
@@ -327,10 +350,6 @@ class ServingEngine:
         fault schedule is armed or the next iteration is not a quiet
         decode step (see :mod:`repro.serving.fastpath`)."""
 
-    def _active_obs(self) -> "Instrumentation | None":
-        obs = self.obs
-        return obs if obs is not None and obs.active else None
-
     # ------------------------------------------------------------------ #
     # submission
     # ------------------------------------------------------------------ #
@@ -351,7 +370,7 @@ class ServingEngine:
         self._enqueue(request)
         self._all.append(request)
         self._ids.add(request.request_id)
-        obs = self._active_obs()
+        obs = self.obs
         if obs is not None:
             obs.metrics.counter(
                 "requests_submitted_total", "requests submitted to the engine"
@@ -394,7 +413,7 @@ class ServingEngine:
     # ------------------------------------------------------------------ #
 
     def _admit_arrivals(self) -> None:
-        obs = self._active_obs()
+        obs = self.obs
         while self._pending and arrival_due(
                 self._pending[0].effective_arrival_time, self.clock):
             req = self._pending.pop(0)
@@ -501,7 +520,7 @@ class ServingEngine:
                 faults.advance_to(self.clock, self)
             self._admit_arrivals()
 
-        obs = self._active_obs()
+        obs = self.obs
         if obs is not None:
             self._observe_step_begin(obs)
         batch = self.scheduler.schedule()
@@ -760,7 +779,7 @@ class ServingEngine:
         self.scheduler.on_decode_done(
             ScheduledBatch(phase="decode", requests=finished, num_tokens=0), finished
         )
-        obs = self._active_obs()
+        obs = self.obs
         for req in finished:
             req.finish_time = self.clock
             self.log.record(Event(self.clock, EventType.FINISH, (req.request_id,)))
@@ -785,26 +804,35 @@ class ServingEngine:
                     "itl_seconds", "mean inter-token latency per request"
                 ).observe(itl, trace_id=trace_id)
 
-    def run(self, max_iterations: int = 10_000_000) -> ServingResult:
+    def run(self) -> ServingResult:
         """Run until every submitted request is terminal (finished, or —
-        under fault injection — failed with a recorded reason)."""
-        iterations = 0
+        under fault injection — failed with a recorded reason).  Raises
+        :class:`EngineStalledError` when the event log shows no progress
+        for more than :data:`MAX_STALLED_ITERATIONS` consecutive
+        iterations."""
+        log = self.log
+        iterations = stalled = 0
+        progress = log.progress
         while True:
             advanced = self.advance_window()
-            if advanced:
-                iterations += advanced
-            elif self.step():
-                iterations += 1
+            if not advanced:
+                if not self.step():
+                    break
+                advanced = 1
+            iterations += advanced
+            if log.progress != progress:
+                progress = log.progress
+                stalled = 0
             else:
-                break
-            if iterations > max_iterations:
-                raise RuntimeError(f"engine exceeded {max_iterations} iterations")
+                stalled += advanced
+                if stalled > MAX_STALLED_ITERATIONS:
+                    raise EngineStalledError(self.clock, iterations)
         stats = getattr(self.kv, "stats", None)
         result = ServingResult(
             requests=list(self._all), makespan=self.clock, log=self.log,
             kv_hit_rate=stats.hit_rate if stats is not None else 0.0,
         )
-        obs = self._active_obs()
+        obs = self.obs
         if obs is not None:
             obs.metrics.gauge(
                 "engine_makespan_seconds", "simulated time to drain the run"

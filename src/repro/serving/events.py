@@ -29,6 +29,13 @@ class EventType(enum.Enum):
     """Requests were terminally failed with a recorded reason."""
 
 
+#: event types that record progress: a request admitted, tokens prefilled
+#: or generated, a request finished or failed
+_PROGRESS_TYPES = frozenset({EventType.ARRIVAL, EventType.PREFILL,
+                             EventType.DECODE, EventType.FINISH,
+                             EventType.FAIL})
+
+
 @dataclass(frozen=True)
 class Event:
     """One timestamped engine event."""
@@ -60,6 +67,9 @@ class EventLog:
         self._by_type: dict[EventType, list[Event]] = {t: [] for t in EventType}
         self._total_busy = 0.0
         self._peak_kv = 0.0
+        self.progress = 0
+        """Number of recorded progress events (admission, prefill, decode,
+        finish, fail); a run whose count stops growing is stalled."""
         for event in self.events:
             self._index(event)
 
@@ -68,6 +78,8 @@ class EventLog:
         self._total_busy += event.duration_s
         if event.kv_utilization > self._peak_kv:
             self._peak_kv = event.kv_utilization
+        if event.type in _PROGRESS_TYPES:
+            self.progress += 1
 
     def record(self, event: Event) -> None:
         if self.events and event.time < self.events[-1].time - 1e-12:

@@ -267,7 +267,7 @@ class EngineFastPath:
         request_ids = tuple(r.request_id for r in running)
         record = engine.log.record
         decode = EventType.DECODE
-        obs = engine._active_obs()
+        obs = engine.obs
         pop_at = 0
         done = 0
         while done < limit:

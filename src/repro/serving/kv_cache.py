@@ -93,13 +93,13 @@ class PagedKVCache:
         fault experiments, so the default path is untouched."""
         self.obs: Instrumentation | None = None
         """Optional observability handle (set by the owning engine); when
-        active, allocate/append/free emit spans at the simulated time the
+        set, allocate/append/free emit spans at the simulated time the
         handle mirrors and maintain the KV metrics."""
         self._metric_handles: _KVMetricHandles | None = None
 
     def _observe(self, op: str, seq_id: int, blocks: int) -> None:
         obs = self.obs
-        if obs is None or not obs.active:
+        if obs is None:
             return
         tracer = obs.tracer
         tracer.begin(f"kv.{op}", obs.now, cat="kv", seq_id=seq_id, blocks=blocks)

@@ -174,7 +174,7 @@ class Scheduler:
             scheduled.append(req)
             req.state = RequestState.RUNNING
             obs = self.obs
-            if obs is not None and obs.active and req.first_scheduled_time is None:
+            if obs is not None and req.first_scheduled_time is None:
                 obs.metrics.counter(
                     "scheduler_admissions_total",
                     "requests admitted from the waiting queue",
@@ -229,7 +229,7 @@ class Scheduler:
         req.reset_for_recompute()
         self.waiting.appendleft(req)
         obs = self.obs
-        if obs is not None and obs.active:
+        if obs is not None:
             obs.metrics.counter(
                 "scheduler_preemptions_total",
                 "recompute preemptions under KV pressure",

@@ -41,8 +41,8 @@ class TestBenchRecordCheck:
         assert record["fingerprint"]["sim"]
 
     def test_check_clean_on_unchanged_tree(self, baseline_dir, capsys):
-        assert _bench("--check", "--figs", FIG, "--dir", str(baseline_dir),
-                      "--no-overhead") == 0
+        assert _bench("--check", "--figs", FIG, "--dir",
+                      str(baseline_dir)) == 0
         assert f"[ok] {FIG}" in capsys.readouterr().out
 
     def test_check_fails_on_perturbed_baseline(self, baseline_dir, tmp_path,
@@ -54,14 +54,12 @@ class TestBenchRecordCheck:
         key = next(k for k, v in sim.items() if v)
         sim[key] *= 1 + 1e-6
         path.write_text(json.dumps(data))
-        assert _bench("--check", "--figs", FIG, "--dir", str(tmp_path),
-                      "--no-overhead") == 1
+        assert _bench("--check", "--figs", FIG, "--dir", str(tmp_path)) == 1
         err = capsys.readouterr().err
         assert FIG in err and key in err
 
     def test_check_fails_without_baseline(self, tmp_path):
-        assert _bench("--check", "--figs", FIG, "--dir", str(tmp_path),
-                      "--no-overhead") == 1
+        assert _bench("--check", "--figs", FIG, "--dir", str(tmp_path)) == 1
 
     def test_no_mode_is_usage_error(self, tmp_path):
         assert _bench("--dir", str(tmp_path)) == 2
@@ -82,7 +80,7 @@ class TestRooflinePerturbation:
         object.__setattr__(H100_SXM, "mem_bandwidth_gbps", old * 1.05)
         try:
             code = _bench("--check", "--figs", FIG, "--dir",
-                          str(baseline_dir), "--no-overhead")
+                          str(baseline_dir))
         finally:
             object.__setattr__(H100_SXM, "mem_bandwidth_gbps", old)
         assert code == 1
@@ -91,8 +89,8 @@ class TestRooflinePerturbation:
         assert "sim drift" in err
 
     def test_gate_clean_again_after_restore(self, baseline_dir):
-        assert _bench("--check", "--figs", FIG, "--dir", str(baseline_dir),
-                      "--no-overhead") == 0
+        assert _bench("--check", "--figs", FIG, "--dir",
+                      str(baseline_dir)) == 0
 
 
 class TestProfileCommand:

@@ -1,5 +1,6 @@
-"""Interprocedural flow engine: symbol table, call graph, determinism
-taint (DET1xx), unit flow (UNIT1xx), incremental cache, graph export."""
+"""Interprocedural flow engine: symbol table, call graph, unit flow
+(UNIT1xx), incremental cache; and the laundering fixtures the local
+determinism rules (DET001-003) catch at the source line."""
 
 import pathlib
 import textwrap
@@ -7,11 +8,10 @@ import time
 
 import pytest
 
-from repro.lint.core import LintProject, get_rule, run_lint
+from repro.lint.core import LintProject, get_rule, run_lint, select_rules
 from repro.lint.flow import engine
-from repro.lint.flow.graph import Program, to_dot, to_json_doc
+from repro.lint.flow.graph import Program
 from repro.lint.flow.summary import module_name_for, summarize_source
-from repro.lint.flow.taint import taint_report
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -22,6 +22,22 @@ def make_project(tmp_path, files: dict[str, str]) -> LintProject:
         p.parent.mkdir(parents=True, exist_ok=True)
         p.write_text(textwrap.dedent(text).lstrip("\n"))
     return LintProject(tmp_path)
+
+
+def graph_of(program: Program) -> tuple[dict, dict]:
+    """The program's functions (every summarized fact) and resolved call
+    edges, in comparable form."""
+    functions = {fq: (program.function_files[fq], fn.to_dict())
+                 for fq, fn in program.functions.items()}
+    edges = {caller: [(e.callee, e.site.line) for e in es]
+             for caller, es in program.edges.items()}
+    return functions, edges
+
+
+def det_findings(tmp_path, project) -> list[tuple[str, str, int]]:
+    """(rule, path, line) of every DET001-003 finding in ``project``."""
+    vs = run_lint(tmp_path, rules=select_rules("DET"), project=project)
+    return [(v.rule, v.path, v.line) for v in vs]
 
 
 @pytest.fixture(autouse=True)
@@ -136,7 +152,7 @@ class TestCallGraph:
 
 
 # a wall read laundered through TWO helpers in separate modules before
-# reaching a digest-bearing root (repro.fleet.invariants.* is a root)
+# reaching a digest-bearing entry point
 LAUNDERED = {
     "src/repro/fleet/invariants.py": """
         from repro.util_a import stamp_a
@@ -160,27 +176,17 @@ LAUNDERED = {
 
 
 class TestDeterminismTaint:
+    """However many helper calls stand between a nondeterminism source
+    and a digest, DET001-003 report the source at its own line: the
+    local rules need no call graph to see a laundered read."""
+
     def test_laundered_wall_read_caught_with_full_chain(self, tmp_path):
         project = make_project(tmp_path, LAUNDERED)
-        vs = run_lint(tmp_path, rules=[get_rule("DET101")], project=project)
-        assert [v.rule for v in vs] == ["DET101"]
-        v = vs[0]
-        # anchored at the source line, chain names every hop
-        assert v.path == "src/repro/util_b.py"
+        assert det_findings(tmp_path, project) == [
+            ("DET001", "src/repro/util_b.py", 4)]
+        (v,) = run_lint(tmp_path, rules=[get_rule("DET001")],
+                        project=project)
         assert "time.time" in v.snippet
-        assert ("repro.fleet.invariants.fleet_digest -> "
-                "repro.util_a.stamp_a -> repro.util_b.stamp_b") in v.message
-
-    def test_unreached_source_is_not_a_violation(self, tmp_path):
-        files = dict(LAUNDERED)
-        # cut the chain: the root no longer calls the laundering helper
-        files["src/repro/fleet/invariants.py"] = """
-            def fleet_digest():
-                return 0.0
-        """
-        project = make_project(tmp_path, files)
-        vs = run_lint(tmp_path, rules=[get_rule("DET101")], project=project)
-        assert vs == []
 
     def test_experiment_decorator_is_a_root(self, tmp_path):
         project = make_project(tmp_path, {
@@ -194,28 +200,8 @@ class TestDeterminismTaint:
             """,
             "src/repro/util_b.py": LAUNDERED["src/repro/util_b.py"],
         })
-        vs = run_lint(tmp_path, rules=[get_rule("DET101")], project=project)
-        assert [v.rule for v in vs] == ["DET101"]
-        assert "repro.exp.run -> repro.util_b.stamp_b" in vs[0].message
-
-    def test_wall_channel_sanitizes_source_and_path(self, tmp_path):
-        project = make_project(tmp_path, {
-            # source inside a wall-channel module: by-design, not taint
-            "src/repro/runner.py": """
-                import time
-
-                def wall_now():
-                    return time.time()
-            """,
-            "src/repro/fleet/invariants.py": """
-                from repro.runner import wall_now
-
-                def fleet_digest():
-                    return wall_now()
-            """,
-        })
-        vs = run_lint(tmp_path, rules=[get_rule("DET101")], project=project)
-        assert vs == []
+        assert det_findings(tmp_path, project) == [
+            ("DET001", "src/repro/util_b.py", 4)]
 
     def test_rng_taint(self, tmp_path):
         project = make_project(tmp_path, {
@@ -232,8 +218,8 @@ class TestDeterminismTaint:
                     return random.random()
             """,
         })
-        vs = run_lint(tmp_path, rules=[get_rule("DET102")], project=project)
-        assert [v.rule for v in vs] == ["DET102"]
+        assert det_findings(tmp_path, project) == [
+            ("DET002", "src/repro/util_c.py", 4)]
 
     def test_set_order_taint(self, tmp_path):
         project = make_project(tmp_path, {
@@ -251,27 +237,8 @@ class TestDeterminismTaint:
                     return acc
             """,
         })
-        vs = run_lint(tmp_path, rules=[get_rule("DET103")], project=project)
-        assert [v.rule for v in vs] == ["DET103"]
-
-    def test_local_suppression_carries_over(self, tmp_path):
-        files = dict(LAUNDERED)
-        files["src/repro/util_b.py"] = """
-            import time
-
-            def stamp_b():
-                return time.time()  # simlint: disable=DET001
-        """
-        project = make_project(tmp_path, files)
-        vs = run_lint(tmp_path, rules=[get_rule("DET101")], project=project)
-        assert vs == []
-
-    def test_repo_is_taint_clean(self):
-        project = LintProject(REPO)
-        program = engine.program_for(project)
-        report = taint_report(program, project)
-        assert report.findings == []
-        assert len(report.roots) > 50  # experiments + serving/fleet surface
+        assert det_findings(tmp_path, project) == [
+            ("DET003", "src/repro/util_d.py", 3)]
 
 
 class TestUnitFlow:
@@ -378,7 +345,7 @@ class TestIncrementalCache:
         warm_s = time.perf_counter() - t0
         assert warm.stats["cache_hits"] == n
         assert warm.stats["cache_misses"] == 0
-        assert to_json_doc(warm) == to_json_doc(cold)
+        assert graph_of(warm) == graph_of(cold)
         assert warm_s < cold_s  # summaries load as JSON, no AST walks
 
     def test_changed_file_invalidates_only_itself(self, tmp_path):
@@ -406,43 +373,12 @@ class TestIncrementalCache:
         program = engine.program_for(project)
         assert program.stats["cache_misses"] == 1
 
-    def test_env_var_disables_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_LINT_NO_CACHE", "1")
-        engine.configure(cache=True, cache_path=tmp_path / "flow.json")
+    def test_configure_disables_cache(self, tmp_path):
+        engine.configure(cache=False, cache_path=tmp_path / "flow.json")
         project = make_project(tmp_path, {
             "src/repro/a.py": "def f():\n    return 1\n"})
         engine.program_for(project)
         assert not (tmp_path / "flow.json").exists()
-
-
-class TestGraphExport:
-    def test_dot_highlights_taint_path(self, tmp_path):
-        project = make_project(tmp_path, LAUNDERED)
-        program = engine.program_for(project)
-        report = taint_report(program, project)
-        dot = to_dot(program, report)
-        assert dot.startswith("digraph")
-        assert '"repro.fleet.invariants.fleet_digest" [shape=box' in dot
-        assert ('"repro.util_a.stamp_a" -> "repro.util_b.stamp_b" '
-                '[color=red, penwidth=2.0];') in dot
-
-    def test_json_doc_is_deterministic_and_structured(self, tmp_path):
-        project = make_project(tmp_path, LAUNDERED)
-        program = engine.program_for(project)
-        report = taint_report(program, project)
-        doc_a = to_json_doc(program, report)
-        doc_b = to_json_doc(program, report)
-        assert doc_a == doc_b
-        import json
-        doc = json.loads(doc_a)
-        assert doc["version"] == 1
-        (path,) = doc["taint_paths"]
-        assert path["rule"] == "DET101"
-        assert path["chain"] == ["repro.fleet.invariants.fleet_digest",
-                                 "repro.util_a.stamp_a",
-                                 "repro.util_b.stamp_b"]
-        tainted = {n["id"] for n in doc["nodes"] if n["tainted"]}
-        assert "repro.util_a.stamp_a" in tainted
 
 
 class TestSummaries:
@@ -463,4 +399,4 @@ class TestSummaries:
             rel: type(s).from_dict(json.loads(json.dumps(s.to_dict())))
             for rel, s in raw.items()
         }
-        assert to_json_doc(Program(restored)) == to_json_doc(Program(raw))
+        assert graph_of(Program(restored)) == graph_of(Program(raw))

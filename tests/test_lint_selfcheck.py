@@ -16,7 +16,7 @@ REPO = pathlib.Path(__file__).resolve().parents[1]
 def _ns(**overrides) -> argparse.Namespace:
     defaults = dict(list_rules=False, root=str(REPO), rules=None, check=False,
                     json=False, out=None, baseline=None, update_baseline=False,
-                    graph=False, graph_format="dot", no_cache=False)
+                    no_cache=False)
     defaults.update(overrides)
     return argparse.Namespace(**defaults)
 

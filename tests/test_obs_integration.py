@@ -82,7 +82,7 @@ class TestTracedEngineRun:
 
 
 class TestDisableModeIdentity:
-    """With instrumentation off (or None), results are bit-identical."""
+    """With instrumentation on or None, results are bit-identical."""
 
     @staticmethod
     def _fingerprint(result):
@@ -96,24 +96,14 @@ class TestDisableModeIdentity:
                   for r in result.requests),
         )
 
-    def test_none_off_and_on_agree(self):
+    def test_none_and_on_agree(self):
         kwargs = dict(num_requests=5, input_tokens=96, output_tokens=24,
                       arrival_interval=0.001)
         baseline = self._fingerprint(reference_serving_run(**kwargs))
-        off = self._fingerprint(reference_serving_run(
-            instrumentation=Instrumentation.off(), **kwargs))
         on = self._fingerprint(reference_serving_run(
             instrumentation=Instrumentation.on(
                 model=get_model("OLMoE-1B-7B")), **kwargs))
-        assert off == baseline
         assert on == baseline  # observation must never perturb the sim
-
-    def test_off_instrumentation_records_nothing(self):
-        obs = Instrumentation.off()
-        reference_serving_run(num_requests=2, input_tokens=64,
-                              output_tokens=8, instrumentation=obs)
-        assert obs.tracer.num_events == 0
-        assert len(obs.metrics) == 0
 
 
 class TestFig15Reproduction:

@@ -10,7 +10,6 @@ from repro.core.results import ResultTable
 from repro.obs.fingerprint import Fingerprint, fingerprint_result
 from repro.obs.regress import (
     BaselineStore,
-    OverheadReport,
     Tolerance,
     compare_fingerprints,
     render_drift_report,
@@ -143,18 +142,6 @@ class TestSuspects:
         deps = loaded_repro_modules()
         assert "src/repro/obs/regress.py" in deps
         assert all(p.startswith("src/repro/") for p in deps)
-
-
-class TestOverhead:
-    def test_report_math(self):
-        ok = OverheadReport(baseline_s=1.0, disabled_s=1.01, rounds=3)
-        bad = OverheadReport(baseline_s=1.0, disabled_s=1.2, rounds=3)
-        assert ok.within() and not bad.within()
-        assert "+1.00%" in ok.describe()
-
-    def test_abs_slack_absorbs_jitter_on_tiny_runs(self):
-        report = OverheadReport(baseline_s=0.001, disabled_s=0.002, rounds=3)
-        assert report.within()  # 2ms absolute slack
 
 
 class TestEndToEnd:

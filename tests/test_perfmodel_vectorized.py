@@ -102,17 +102,30 @@ class TestExactEquivalence:
 
 
 class TestFallbacks:
-    def test_instrumented_model_uses_scalar_path(self):
+    def test_instrumented_model_takes_array_path(self):
+        """An instrumented perf model prices the sweep through the array
+        entry: same rows as an uninstrumented one, bit for bit, and the
+        same evaluation counters the per-point loop keeps."""
         from repro.obs.instrument import Instrumentation
 
-        obs = Instrumentation.on()
-        pm = InferencePerfModel(get_model("OLMoE-1B-7B"), H100_SXM,
-                                instrumentation=obs)
-        shapes = [(1, 64, 8), (2, 64, 8)]
-        metrics_rows(pm, shapes)
-        evals = [m for m in obs.metrics.snapshot()["metrics"]
-                 if m["name"] == "perfmodel_evaluations_total"]
-        assert evals  # the per-point path kept the eval counters alive
+        def evals(obs):
+            return [m for m in obs.metrics.snapshot()["metrics"]
+                    if m["name"] == "perfmodel_evaluations_total"]
+
+        shapes = SHAPES + [(2, 64, 1), (2, 64, 2)]
+        model = get_model("OLMoE-1B-7B")
+        plain = metrics_rows(InferencePerfModel(model, H100_SXM), shapes)
+        fast_obs, slow_obs = Instrumentation.on(), Instrumentation.on()
+        fast = metrics_rows(InferencePerfModel(
+            model, H100_SXM, instrumentation=fast_obs), shapes)
+        slow_pm = InferencePerfModel(model, H100_SXM,
+                                     instrumentation=slow_obs)
+        for b, i, o in shapes:
+            metrics_row(slow_pm, b, i, o)
+        assert fast == plain
+        assert evals(fast_obs) == evals(slow_obs)
+        counts = {m["labels"]["kind"]: m["value"] for m in evals(fast_obs)}
+        assert counts == {"ttft": len(shapes), "decode": len(shapes) - 2}
 
     def test_vectorized_returns_python_floats(self):
         # np.float64 leaking into tables would corrupt repr()-based digests

@@ -12,8 +12,13 @@ from hypothesis import strategies as st
 from repro.hardware.gpus import H100_SXM
 from repro.models.zoo import MIXTRAL_8X7B, OLMOE_1B_7B, get_model
 from repro.perfmodel.inference import InferencePerfModel
-from repro.serving.engine import ServingEngine, serve_static_batch
-from repro.serving.events import EventType
+from repro.serving.engine import (
+    MAX_STALLED_ITERATIONS,
+    EngineStalledError,
+    ServingEngine,
+    serve_static_batch,
+)
+from repro.serving.events import Event, EventType
 from repro.serving.request import Request, SamplingParams
 from repro.serving.scheduler import SchedulerConfig
 
@@ -355,3 +360,70 @@ class TestSubmitValidation:
         res = eng.run()
         assert [r.request_id for r in res.requests] == [7]
         assert res.requests[0].is_finished
+
+
+class TestStallWatchdog:
+    """``run()`` raises a typed error once the event log shows no progress
+    for more than ``MAX_STALLED_ITERATIONS`` consecutive iterations."""
+
+    @staticmethod
+    def _stalling_engine(pm, log_preemptions: bool):
+        """An engine whose step, after one real (prefill) iteration,
+        advances the clock and commits nothing; windows are off so the
+        patched step takes every iteration."""
+        eng = ServingEngine(pm)
+        eng.submit(make_request(0))
+        real_step = eng.step
+        calls = []
+
+        def stalled_step() -> bool:
+            calls.append(None)
+            if len(calls) == 1:
+                return real_step()
+            eng.clock += 1e-3
+            if log_preemptions:
+                eng.log.record(Event(eng.clock, EventType.PREEMPTION, (0,)))
+            return True
+
+        eng.step = stalled_step
+        eng.advance_window = lambda horizon=math.inf: 0
+        return eng, calls
+
+    def test_stalled_step_raises_naming_clock_and_iterations(self, olmoe_pm):
+        eng, calls = self._stalling_engine(olmoe_pm, log_preemptions=False)
+        with pytest.raises(EngineStalledError) as info:
+            eng.run()
+        err = info.value
+        assert isinstance(err, RuntimeError)
+        # one progressing iteration, then the bound plus the one past it
+        assert len(calls) == err.iterations == MAX_STALLED_ITERATIONS + 2
+        assert err.clock == eng.clock > 0
+        assert repr(err.clock) in str(err)
+        assert str(err.iterations) in str(err)
+
+    def test_stalled_log_growth_is_bounded(self, olmoe_pm):
+        eng, calls = self._stalling_engine(olmoe_pm, log_preemptions=True)
+        with pytest.raises(EngineStalledError):
+            eng.run()
+        stalled = eng.log.count(EventType.PREEMPTION)
+        assert stalled == MAX_STALLED_ITERATIONS + 1
+        assert len(eng.log.events) == stalled + eng.log.progress
+
+    def test_progress_resets_the_count(self, olmoe_pm):
+        eng = ServingEngine(olmoe_pm)
+        eng.submit(make_request(0, out=3))
+        real_step = eng.step
+        stalls = [0]
+
+        def step() -> bool:
+            # exactly the bound of stalls before every real iteration
+            if stalls[0] < MAX_STALLED_ITERATIONS:
+                stalls[0] += 1
+                eng.clock += 1e-3
+                return True
+            stalls[0] = 0
+            return real_step()
+
+        eng.step = step
+        eng.advance_window = lambda horizon=math.inf: 0
+        assert eng.run().requests[0].is_finished
